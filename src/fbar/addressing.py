@@ -11,8 +11,24 @@ consistently end to end:
 
     interleaved (default): (ip(x), zn(x), ip(x2), zn(x2))
     grouped:               (ip(x), ip(x2), zn(x), zn(x2))
+
+Closed form.  With 0-based coordinates ip[b] = ip(b) - 1 and
+zn[b] = zn(b) - 1, each row nibble is one coordinate, so
+
+    interleaved:  row(x, x2) == F[x] << 8 | F[x2],  F[b] = ip[b] << 4 | zn[b]
+    grouped:      row(x, x2) == ip[x] << 12 | ip[x2] << 8 | zn[x] << 4 | zn[x2]
+
+F is a permutation of the 256 byte values.  The grouped row is the
+interleaved row with its two middle nibbles swapped, a swap that is its
+own inverse.  A "row stream" holds each row as 2 big-endian bytes, so
+the interleaved row stream of an even-length input is the input
+translated through F, and decoding translates it back through F's
+inverse; the grouped layout adds the nibble swap on both sides.  The
+scalar functions below are the reference the kernel is tested against.
 """
 
+import sys
+from array import array
 from typing import NamedTuple
 
 from . import pairops
@@ -96,34 +112,99 @@ def row_of_pair(x, x2, layout="interleaved"):
     return row_of_address(address_of_pair(x, x2, layout))
 
 
-# Flat lookup tables for the codec hot path, built lazily per layout.
-_ROW_TABLES = {}
-_PAIR_TABLES = {}
+# The byte kernel.  F maps a byte to the interleaved row byte of its
+# coordinates; the four nibble tables split and move the halves of a row
+# byte for the middle-nibble swap.
+_F = bytes((ip - 1) << 4 | (zn - 1) for ip, zn in _BYTE_COORDS)
+_F_INV = bytes(_F.index(a) for a in range(256))
+_KEEP_HIGH = bytes(b & 0xF0 for b in range(256))
+_HIGH_TO_LOW = bytes(b >> 4 for b in range(256))
+_LOW_TO_HIGH = bytes((b & 0x0F) << 4 for b in range(256))
+_KEEP_LOW = bytes(b & 0x0F for b in range(256))
+
+
+def _all_rows():
+    stream = bytearray(2 * ROWS)
+    stream[0::2] = b"".join(bytes((a,)) * 256 for a in range(256))
+    stream[1::2] = bytes(range(256)) * 256
+    return bytes(stream)
+
+
+# Rows 0..65535 as a row stream; read as pairs, it is every pair in
+# (x << 8 | x2) order.
+ALL_ROWS = _all_rows()
+
+# The row whose interleaved form is (a << 8), for every byte a: the
+# first byte of the pair stored there is F_inv[a].
+_INVERSE_ROWS = {
+    "interleaved": range(0, ROWS, 256),
+    "grouped": [(a >> 4) << 12 | (a & 0x0F) << 4 for a in range(256)],
+}
+
+
+def _or_bytes(a, b):
+    both = int.from_bytes(a, "big") | int.from_bytes(b, "big")
+    return both.to_bytes(len(a), "big")
+
+
+def _regroup(stream, layout):
+    """Convert a row stream between the interleaved and the given layout."""
+    _check_layout(layout)
+    if layout == "interleaved":
+        return stream
+    hi, lo = stream[0::2], stream[1::2]
+    out = bytearray(len(stream))
+    out[0::2] = _or_bytes(hi.translate(_KEEP_HIGH), lo.translate(_HIGH_TO_LOW))
+    out[1::2] = _or_bytes(hi.translate(_LOW_TO_HIGH), lo.translate(_KEEP_LOW))
+    return bytes(out)
+
+
+def encode_stream(data, layout="interleaved"):
+    """Row stream of every complete pair of ``data``; an odd last byte is left out."""
+    even = len(data) - len(data) % 2
+    return _regroup(bytes(data[:even]).translate(_F), layout)
+
+
+def decode_stream(stream, layout="interleaved", inverse=_F_INV):
+    """Pairs of a row stream; exact inverse of encode_stream.
+
+    ``inverse`` is F's inverse, by default the one derived here; a codec
+    passes the one read from its translation table (inverse_of_table).
+    """
+    return _regroup(bytes(stream), layout).translate(inverse)
+
+
+def inverse_of_table(originals, layout="interleaved"):
+    """F's inverse as a translation table's originals buffer stores it."""
+    _check_layout(layout)
+    return bytes(originals[2 * row] for row in _INVERSE_ROWS[layout])
+
+
+def row_stream(rows):
+    """Row stream of a sequence of row numbers; ValueError if one is out of range."""
+    try:
+        words = array("H", rows)
+    except OverflowError as exc:
+        raise ValueError(f"row out of range 0..65535: {exc}") from None
+    if sys.byteorder == "little":
+        words.byteswap()
+    return words.tobytes()
+
+
+def row_array(stream):
+    """Row numbers of a row stream, as an array('H')."""
+    words = array("H")
+    words.frombytes(stream)
+    if sys.byteorder == "little":
+        words.byteswap()
+    return words
 
 
 def row_table(layout="interleaved"):
     """List mapping (x << 8 | x2) -> row for all 65,536 pairs."""
-    _check_layout(layout)
-    table = _ROW_TABLES.get(layout)
-    if table is None:
-        table = [0] * ROWS
-        for x in range(256):
-            for x2 in range(256):
-                table[x << 8 | x2] = row_of_pair(x, x2, layout)
-        _ROW_TABLES[layout] = table
-    return table
+    return row_array(encode_stream(ALL_ROWS, layout)).tolist()
 
 
 def pair_table(layout="interleaved"):
     """Bytes of length 131,072 mapping row -> its original 2-byte pair."""
-    _check_layout(layout)
-    table = _PAIR_TABLES.get(layout)
-    if table is None:
-        buf = bytearray(2 * ROWS)
-        for row in range(ROWS):
-            x, x2 = pair_of_row(row, layout)
-            buf[2 * row] = x
-            buf[2 * row + 1] = x2
-        table = bytes(buf)
-        _PAIR_TABLES[layout] = table
-    return table
+    return decode_stream(ALL_ROWS, layout)

@@ -62,10 +62,8 @@ class CompressResult:
 
 
 def encode_rows(data, layout="interleaved"):
-    """Rows for every complete pair of the input, plus the tail byte."""
-    lookup = addressing.row_table(layout)
-    even = len(data) - len(data) % 2
-    rows = [lookup[data[i] << 8 | data[i + 1]] for i in range(0, even, 2)]
+    """Rows (an array('H')) for every complete pair of the input, plus the tail byte."""
+    rows = addressing.row_array(addressing.encode_stream(data, layout))
     tail = data[-1] if len(data) % 2 else None
     return rows, tail
 
@@ -106,18 +104,20 @@ def compress(job: CompressJob) -> CompressResult:
         total = gridfile.write_honest(rows, sink, tail)
         paper_accounted = None
         honest_size = total - gridfile.HONEST_OVERHEAD
-    elapsed = time.perf_counter() - start
 
     artifact = sink.getvalue()
     report = metrics.build_report(
         job.data,
         job.mode,
         job.fmt,
-        elapsed,
+        time.perf_counter() - start,
         paper_accounted=paper_accounted,
         honest_size=honest_size,
         artifact_size=len(artifact),
     )
+    # The report covers the whole call, its own building included.
+    report.elapsed = time.perf_counter() - start
+    report.throughput = report.input_size / report.elapsed if report.elapsed > 0 else 0.0
     return CompressResult(artifact=artifact, summary=summary, report=report)
 
 
@@ -140,13 +140,11 @@ def decompress(job: DecompressJob) -> bytes:
         job.tables.ensure_verified()
 
     table = _primary_table(job.tables)
-    originals = table.originals
-    out = bytearray()
-    for row in parsed.rows:
-        out += originals[2 * row : 2 * row + 2]
+    inverse = addressing.inverse_of_table(table.originals, table.layout)
+    out = addressing.decode_stream(parsed.stream, table.layout, inverse)
     if parsed.tail is not None:
-        out.append(parsed.tail)
-    return bytes(out)
+        out += bytes((parsed.tail,))
+    return out
 
 
 def roundtrip(data, tables, mode=MODE_1TT, fmt=FORMAT_PAPER):

@@ -20,6 +20,7 @@ would land on a slot already occupied in the current block's region.
 from dataclasses import dataclass
 from typing import Optional
 
+from . import addressing
 from .transtable import OCCUPANT_ALPHABET
 
 GRID_MAGIC = b"FBGR"
@@ -79,17 +80,20 @@ class GridArtifact:
 
 
 @dataclass
-class ParsedGrid:
-    mode: str
-    rows: list
+class ParsedHonest:
+    stream: bytes  # the rows, 2 big-endian bytes each
     tail: Optional[int]
-    block_units: list  # unit count per block, in stream order
+
+    @property
+    def rows(self):
+        """The row numbers as a list, built on each access."""
+        return addressing.row_array(self.stream).tolist()
 
 
 @dataclass
-class ParsedHonest:
-    rows: list
-    tail: Optional[int]
+class ParsedGrid(ParsedHonest):
+    mode: str
+    block_units: list  # unit count per block, in stream order
 
 
 def _units_of(rows, mode):
@@ -98,15 +102,20 @@ def _units_of(rows, mode):
     return [tuple(rows[i : i + 4]) for i in range(0, len(rows), 4)]
 
 
-def _check_rows(rows):
-    for r in rows:
-        if not 0 <= r < 65536:
-            raise ValueError(f"row out of range: {r!r}")
-
-
-def _check_tail(tail):
-    if tail is not None and not 0 <= tail <= 0xFF:
+def _tail_bytes(tail):
+    """The serialized tail: nothing, or the marker and the odd last byte."""
+    if tail is None:
+        return b""
+    if not 0 <= tail <= 0xFF:
         raise ValueError(f"tail byte out of range: {tail!r}")
+    return bytes((TAIL_MARKER, tail))
+
+
+def _emit(sink, out):
+    try:
+        sink.write(bytes(out))
+    except OSError as exc:
+        raise GridFormatError(f"sink write failed: {exc}") from exc
 
 
 def _layout_blocks(units):
@@ -157,8 +166,8 @@ def write_grid(rows, mode, sink, tail=None):
     if mode not in _MODE_BYTES:
         raise ValueError(f"unknown mode {mode!r}")
     rows = list(rows)
-    _check_rows(rows)
-    _check_tail(tail)
+    address = addressing.row_stream(rows)
+    tail_bytes = _tail_bytes(tail)
 
     occupant, final_cells, sep_count, blocks, restarts = _layout_blocks(
         _units_of(rows, mode)
@@ -166,12 +175,6 @@ def write_grid(rows, mode, sink, tail=None):
     region = bytearray(GRID_REGION_BYTES)
     for r, char in final_cells:
         region[r] = char
-
-    address = bytearray(2 * len(rows))
-    for n, r in enumerate(rows):
-        address[2 * n] = r >> 8
-        address[2 * n + 1] = r & 0xFF
-    tail_bytes = b"" if tail is None else bytes((TAIL_MARKER, tail))
 
     out = bytearray()
     out += GRID_MAGIC
@@ -185,11 +188,7 @@ def write_grid(rows, mode, sink, tail=None):
     out += address
     out.append(len(tail_bytes))
     out += tail_bytes
-
-    try:
-        sink.write(bytes(out))
-    except OSError as exc:
-        raise GridFormatError(f"sink write failed: {exc}") from exc
+    _emit(sink, out)
     return GridArtifact(
         mode=mode,
         pair_count=len(rows),
@@ -205,22 +204,16 @@ def write_grid(rows, mode, sink, tail=None):
 
 def write_honest(rows, sink, tail=None):
     """Write a self-contained artifact; returns bytes written."""
-    rows = list(rows)
-    _check_rows(rows)
-    _check_tail(tail)
+    stream = addressing.row_stream(rows)
+    tail_bytes = _tail_bytes(tail)
     out = bytearray()
     out += HONEST_MAGIC
     out.append(VERSION)
-    out += len(rows).to_bytes(8, "big")
-    for r in rows:
-        out += r.to_bytes(2, "big")
-    tail_bytes = b"" if tail is None else bytes((TAIL_MARKER, tail))
+    out += (len(stream) // 2).to_bytes(8, "big")
+    out += stream
     out.append(len(tail_bytes))
     out += tail_bytes
-    try:
-        sink.write(bytes(out))
-    except OSError as exc:
-        raise GridFormatError(f"sink write failed: {exc}") from exc
+    _emit(sink, out)
     return len(out)
 
 
@@ -235,6 +228,37 @@ class _Reader:
         chunk = self.data[self.off : self.off + n]
         self.off += n
         return chunk
+
+
+def _open(source, magic):
+    """Reader over the artifact, positioned after its checked magic and version."""
+    reader = _Reader(source.read())
+    found = reader.take(4, "magic")
+    if found != magic:
+        raise GridFormatError(f"bad magic {bytes(found)!r}", offset=0)
+    version = reader.take(1, "version")[0]
+    if version != VERSION:
+        raise GridFormatError(f"unsupported version {version}", offset=4)
+    return reader
+
+
+def _read_tail(reader):
+    """The optional odd-byte tail, which must end the artifact."""
+    tail_start = reader.off
+    tail_len = reader.take(1, "tail length")[0]
+    tail = None
+    if tail_len:
+        if tail_len != 2:
+            raise GridFormatError(f"bad tail length {tail_len}", offset=tail_start)
+        tail_bytes = reader.take(2, "tail")
+        if tail_bytes[0] != TAIL_MARKER:
+            raise GridFormatError(
+                f"bad tail marker {tail_bytes[0]:#04x}", offset=tail_start + 1
+            )
+        tail = tail_bytes[1]
+    if reader.off != len(reader.data):
+        raise GridFormatError("trailing garbage after tail", offset=reader.off)
+    return tail
 
 
 def _validate_occupant(occupant, base_offset):
@@ -285,14 +309,16 @@ def _validate_occupant(occupant, base_offset):
     return blocks
 
 
-def _expected_region(rows, mode, block_units):
+def _expected_region(stream, mode, block_units):
     """Rebuild the final block's region cells from parsed structure."""
     region = bytearray(GRID_REGION_BYTES)
     if not block_units:
         return region
-    units = _units_of(rows, mode)
-    last = block_units[-1]
-    for n, unit in enumerate(units[len(units) - last :]):
+    rows_per_unit = 1 if mode == MODE_1TT else 4
+    units = -(-len(stream) // (2 * rows_per_unit))
+    first_row = (units - block_units[-1]) * rows_per_unit
+    last_rows = addressing.row_array(stream[2 * first_row :])
+    for n, unit in enumerate(_units_of(last_rows, mode)):
         char = OCCUPANT_ALPHABET[n]
         for r in unit:
             region[r] = char
@@ -306,13 +332,7 @@ def parse_grid(source, mode=None):
     defect: bad magic, separator or ordinal mismatches, channel length
     mismatches, inconsistent grid region, trailing garbage.
     """
-    reader = _Reader(source.read())
-    magic = reader.take(4, "magic")
-    if magic != GRID_MAGIC:
-        raise GridFormatError(f"bad magic {bytes(magic)!r}", offset=0)
-    version = reader.take(1, "version")[0]
-    if version != VERSION:
-        raise GridFormatError(f"unsupported version {version}", offset=4)
+    reader = _open(source, GRID_MAGIC)
     mode_byte = reader.take(1, "mode")[0]
     parsed_mode = _MODE_NAMES.get(mode_byte)
     if parsed_mode is None:
@@ -347,58 +367,24 @@ def parse_grid(source, mode=None):
             offset=addr_start,
         )
     address = reader.take(addr_len, "address channel")
-    rows = [
-        address[2 * n] << 8 | address[2 * n + 1] for n in range(pair_count)
-    ]
 
-    tail_start = reader.off
-    tail_len = reader.take(1, "tail length")[0]
-    tail = None
-    if tail_len:
-        if tail_len != 2:
-            raise GridFormatError(f"bad tail length {tail_len}", offset=tail_start)
-        tail_bytes = reader.take(2, "tail")
-        if tail_bytes[0] != TAIL_MARKER:
-            raise GridFormatError(
-                f"bad tail marker {tail_bytes[0]:#04x}", offset=tail_start + 1
-            )
-        tail = tail_bytes[1]
-    if reader.off != len(reader.data):
-        raise GridFormatError("trailing garbage after tail", offset=reader.off)
+    tail = _read_tail(reader)
 
-    if bytes(region) != bytes(_expected_region(rows, parsed_mode, block_units)):
+    if bytes(region) != bytes(_expected_region(address, parsed_mode, block_units)):
         raise GridFormatError("grid region inconsistent with channels", offset=14)
 
-    return ParsedGrid(mode=parsed_mode, rows=rows, tail=tail, block_units=block_units)
+    return ParsedGrid(
+        stream=bytes(address), tail=tail, mode=parsed_mode, block_units=block_units
+    )
 
 
 def parse_honest(source):
     """Parse a self-contained artifact; exact inverse of write_honest."""
-    reader = _Reader(source.read())
-    magic = reader.take(4, "magic")
-    if magic != HONEST_MAGIC:
-        raise GridFormatError(f"bad magic {bytes(magic)!r}", offset=0)
-    version = reader.take(1, "version")[0]
-    if version != VERSION:
-        raise GridFormatError(f"unsupported version {version}", offset=4)
+    reader = _open(source, HONEST_MAGIC)
     pair_count = int.from_bytes(reader.take(8, "pair count"), "big")
     body = reader.take(2 * pair_count, "row stream")
-    rows = [body[2 * n] << 8 | body[2 * n + 1] for n in range(pair_count)]
-    tail_start = reader.off
-    tail_len = reader.take(1, "tail length")[0]
-    tail = None
-    if tail_len:
-        if tail_len != 2:
-            raise GridFormatError(f"bad tail length {tail_len}", offset=tail_start)
-        tail_bytes = reader.take(2, "tail")
-        if tail_bytes[0] != TAIL_MARKER:
-            raise GridFormatError(
-                f"bad tail marker {tail_bytes[0]:#04x}", offset=tail_start + 1
-            )
-        tail = tail_bytes[1]
-    if reader.off != len(reader.data):
-        raise GridFormatError("trailing garbage after tail", offset=reader.off)
-    return ParsedHonest(rows=rows, tail=tail)
+    tail = _read_tail(reader)
+    return ParsedHonest(stream=bytes(body), tail=tail)
 
 
 def artifact_kind(data):

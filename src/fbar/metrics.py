@@ -48,11 +48,15 @@ def shannon_order0(m):
 
 
 def empirical_entropy(data):
-    """Order-0 entropy of a byte sequence from its empirical frequencies."""
-    if not data:
-        return 0.0
+    """Order-0 entropy of a byte sequence from its empirical frequencies.
+
+    ``data`` may also be the sequence's histogram (a Counter), which is
+    then copied rather than counted again.
+    """
     counts = Counter(data)
-    total = len(data)
+    total = sum(counts.values())
+    if not total:
+        return 0.0
     h = -sum(c / total * math.log2(c / total) for c in counts.values())
     return h if h > 0.0 else 0.0
 
@@ -153,7 +157,8 @@ def build_report(data, mode, fmt, elapsed, paper_accounted, honest_size, artifac
     # Savings from the real occupant stream when one was written,
     # otherwise from the nominal estimator.
     size_mode = paper_accounted if paper_accounted is not None else paper_size(n, mode)
-    distinct = len(set(data)) if n else 0
+    counts = Counter(data)
+    distinct = len(counts)
     return MetricsReport(
         input_size=n,
         mode=mode,
@@ -166,7 +171,7 @@ def build_report(data, mode, fmt, elapsed, paper_accounted, honest_size, artifac
         space_savings_paper=1.0 - size_mode / n if n else 0.0,
         fbar_H=MODE_RATIO_H[mode],
         shannon_H0=shannon_order0(distinct) if distinct else 0.0,
-        empirical_H=empirical_entropy(data),
+        empirical_H=empirical_entropy(counts),
         manipulation_total=manipulation_distance(pairs),
         elapsed=elapsed,
         throughput=n / elapsed if elapsed > 0 else 0.0,

@@ -31,9 +31,6 @@ ZN_COMBOS = (
     "nznz", "znzn", "nzzn", "znnn", "nnnz", "nznn", "nnzn", "nnnn",
 )
 
-_IP_SET = frozenset(IP_COMBOS)
-_ZN_SET = frozenset(ZN_COMBOS)
-
 # Forced per-pair factorization: final pair value -> (stage-1 op, stage-2 op).
 _PAIR_FACTOR = {0b01: ("i", "z"), 0b10: ("i", "n"), 0b11: ("p", "z"), 0b00: ("p", "n")}
 
@@ -127,14 +124,6 @@ def closure_classify(pair):
     if not 0 <= pair <= 3:
         raise ValueError(f"not a bit pair: {pair!r}")
     return _CLOSURE[pair]
-
-
-def is_ip_combo(combo):
-    return combo in _IP_SET
-
-
-def is_zn_combo(combo):
-    return combo in _ZN_SET
 
 
 def count_manipulations(n_pairs_of_chars):

@@ -1,10 +1,11 @@
 import io
+import time
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from fbar import addressing, codec, gridfile, pairops, transtable
+from fbar import addressing, codec, gridfile, metrics, pairops, transtable
 from fbar.codec import (
     CompressJob,
     DecompressJob,
@@ -193,3 +194,16 @@ def test_report_fields_complete(tt):
     assert kv["honest_size"] == 8
     assert kv["fbar_H_bpB"] == 2
     assert float(kv["elapsed_s"]) >= 0
+
+
+def test_report_elapsed_covers_report_building(tt, monkeypatch):
+    entropy = metrics.empirical_entropy
+
+    def slow_entropy(data):
+        time.sleep(0.05)
+        return entropy(data)
+
+    monkeypatch.setattr(metrics, "empirical_entropy", slow_entropy)
+    report = compress(CompressJob(data=b"resolved", tables=tt, fmt=FORMAT_HONEST)).report
+    assert report.elapsed >= 0.05
+    assert report.throughput == pytest.approx(8 / report.elapsed)

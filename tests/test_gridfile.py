@@ -253,3 +253,21 @@ def test_row_out_of_range_rejected_on_write():
         write_grid([70000], MODE_1TT, io.BytesIO())
     with pytest.raises(ValueError):
         write_honest([-1], io.BytesIO())
+
+
+def test_honest_errors_name_their_offset():
+    sink = io.BytesIO()
+    write_honest(list(range(10)), sink, tail=0x41)
+    data = sink.getvalue()
+    for cut in (3, 13, 20, len(data) - 1):  # magic, row count, rows, tail
+        with pytest.raises(GridFormatError) as err:
+            parse_honest(io.BytesIO(data[:cut]))
+        assert "truncated" in str(err.value) and err.value.offset == cut
+    with pytest.raises(GridFormatError) as err:
+        parse_honest(io.BytesIO(data + b"zz"))
+    assert "trailing" in str(err.value) and err.value.offset == len(data)
+    bad = bytearray(data)
+    bad[-2] = 0xEE  # tail marker
+    with pytest.raises(GridFormatError) as err:
+        parse_honest(io.BytesIO(bytes(bad)))
+    assert "marker" in str(err.value) and err.value.offset == len(data) - 2

@@ -160,6 +160,15 @@ def test_binary_duplicate_row(tt):
     assert "duplicate row 0" in str(err.value)
 
 
+def test_binary_records_out_of_order_load(tt):
+    sink = io.BytesIO()
+    serialize_binary(tt, sink)
+    data = bytearray(sink.getvalue())
+    a, b = 5 + 4 * 3, 5 + 4 * 40000  # swap two whole records
+    data[a : a + 4], data[b : b + 4] = data[b : b + 4], data[a : a + 4]
+    assert load_binary(io.BytesIO(bytes(data))) == tt
+
+
 def test_loaded_mutation_caught_by_verify(tt):
     sink = io.BytesIO()
     serialize_binary(tt, sink)
