@@ -68,21 +68,6 @@ def encode_rows(data, layout="interleaved"):
     return rows, tail
 
 
-def chunk_4tt(data, layout="interleaved"):
-    """Group input into 8-byte chunks of (occupant ordinal, rows).
-
-    The ordinal is the chunk's 1-based position within its nominal
-    95-chunk block; the final chunk may carry fewer than four rows and
-    an odd final byte is left to tail handling.
-    """
-    rows, _tail = encode_rows(data, layout)
-    chunks = []
-    for n in range(0, len(rows), 4):
-        ordinal = (n // 4) % gridfile.BLOCK_UNITS + 1
-        chunks.append((ordinal, tuple(rows[n : n + 4])))
-    return chunks
-
-
 def compress(job: CompressJob) -> CompressResult:
     """Run one compression job; the report carries both accountings."""
     if job.mode not in (MODE_1TT, MODE_4TT):

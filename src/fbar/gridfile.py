@@ -15,9 +15,19 @@ n-th character of the 95-char occupant alphabet, so each char encodes
 its within-block ordinal.  A control byte (cycling 1..31) closes every
 complete 95-unit block; a block also closes early when a unit's row
 would land on a slot already occupied in the current block's region.
+The grid region holds the chars of the last block at its rows' slots.
+
+One routine (_render) lays out the occupant stream and the region from
+the unit count of each block and the rows.  The writer finds the block
+lengths from the rows.  The parser renders the block lengths the
+occupant stream claims over the address channel and byte-compares; it
+does not derive them from the rows, so an early restart without a
+collision, or a repeated row inside a 1tt block, still parses.
 """
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import getitem
 from typing import Optional
 
 from . import addressing
@@ -38,6 +48,21 @@ _MODE_NAMES = {v: k for k, v in _MODE_BYTES.items()}
 
 _HEADER_LEN = 4 + 1 + 1 + 8  # magic, version, mode, pair count
 HONEST_OVERHEAD = 4 + 1 + 8 + 1  # magic, version, pair count, tail length
+
+_SEPARATORS = [bytes((code,)) for code in SEPARATOR_CODES]
+# _BLOCKS[n][k]: the chars of an n-unit block and the k-th separator of
+# the cycle after them.
+_BLOCKS = [
+    list(map(OCCUPANT_ALPHABET[:n].__add__, _SEPARATORS)) for n in range(BLOCK_UNITS + 1)
+]
+# Blocks are joined a slice of whole separator cycles at a time: a join
+# allocates an 80-byte record per piece, which for a stream of one-unit
+# blocks would be 40 times the stream itself.
+_PHASES = list(range(len(SEPARATOR_CODES))) * 128
+# Every byte below 32 is read as a separator; translating them all to
+# one marker lets a split find the blocks.
+_MARK = b"\x00"
+_MARK_SEPARATORS = bytes(32) + bytes(range(32, 256))
 
 
 class GridFormatError(Exception):
@@ -96,12 +121,6 @@ class ParsedGrid(ParsedHonest):
     block_units: list  # unit count per block, in stream order
 
 
-def _units_of(rows, mode):
-    if mode == MODE_1TT:
-        return [(r,) for r in rows]
-    return [tuple(rows[i : i + 4]) for i in range(0, len(rows), 4)]
-
-
 def _tail_bytes(tail):
     """The serialized tail: nothing, or the marker and the odd last byte."""
     if tail is None:
@@ -118,47 +137,59 @@ def _emit(sink, out):
         raise GridFormatError(f"sink write failed: {exc}") from exc
 
 
-def _layout_blocks(units):
-    """Assign units to blocks and occupant chars, restarting on collisions.
+def _block_lengths(rows, mode):
+    """Unit count of each block the writer lays out, in stream order.
 
-    Returns (occupant stream bytes, final block cells, separator count,
-    block count, collision restarts).
+    A block closes after 95 units, or early, before a unit with a row
+    that an earlier unit placed in the block (a collision restart).
+    last[r] is the latest unit that placed row r, so an earlier unit of
+    the block placed r exactly when start <= last[r] < u; a row repeated
+    inside one 4tt unit is no collision.
     """
-    occupant = bytearray()
-    occupied = set()
-    current_cells = []
-    last_cells = []
-    block_len = 0
-    sep_count = 0
-    blocks = 0
-    restarts = 0
+    size = 1 if mode == MODE_1TT else 4
+    count = -(-len(rows) // size)
+    units = range(count)  # the unit of each row
+    if size > 1:
+        units = chain.from_iterable(zip(*[units] * size))
+    last = [-1] * addressing.ROWS
+    lengths = []
+    start = 0
+    for u, r in zip(units, rows):
+        if u - start == BLOCK_UNITS or start <= last[r] < u:
+            lengths.append(u - start)
+            start = u
+        last[r] = u
+    if count > start:
+        lengths.append(count - start)
+    return lengths
 
-    def close_block():
-        nonlocal block_len, sep_count, current_cells, last_cells
-        occupant.append(SEPARATOR_CODES[sep_count % len(SEPARATOR_CODES)])
-        sep_count += 1
-        last_cells = current_cells
-        current_cells = []
-        occupied.clear()
-        block_len = 0
 
-    for unit in units:
-        if block_len and any(r in occupied for r in unit):
-            close_block()
-            restarts += 1
-        if block_len == 0:
-            blocks += 1
-        char = OCCUPANT_ALPHABET[block_len]
-        occupant.append(char)
-        for r in unit:
-            occupied.add(r)
-            current_cells.append((r, char))
-        block_len += 1
-        if block_len == BLOCK_UNITS:
-            close_block()
+def _render(block_units, stream, mode):
+    """The occupant stream and the grid region laid out from block lengths.
 
-    final_cells = current_cells if current_cells else last_cells
-    return bytes(occupant), final_cells, sep_count, blocks, restarts
+    ``block_units`` holds the unit count of each block, each in 1..95,
+    and ``stream`` is the row stream.  Every block but the last is closed
+    by the next separator of the cycle; the last keeps its separator
+    only when it is full.  The region holds the chars of the last
+    block's units at their rows' slots.
+    """
+    count = len(block_units)
+    pieces = []
+    for at in range(0, count, len(_PHASES)):
+        blocks = map(_BLOCKS.__getitem__, block_units[at : at + len(_PHASES)])
+        pieces.append(b"".join(map(getitem, blocks, _PHASES)))
+    occupant = b"".join(pieces)
+    if count and block_units[-1] < BLOCK_UNITS:
+        occupant = occupant[:-1]
+
+    region = bytearray(GRID_REGION_BYTES)
+    if count:
+        per_unit = 1 if mode == MODE_1TT else 4
+        first = 2 * per_unit * (sum(block_units) - block_units[-1])
+        size = 2 * per_unit * block_units[-1]
+        for i, r in enumerate(addressing.row_array(stream[first : first + size])):
+            region[r] = OCCUPANT_ALPHABET[i // per_unit]
+    return occupant, region
 
 
 def write_grid(rows, mode, sink, tail=None):
@@ -169,12 +200,8 @@ def write_grid(rows, mode, sink, tail=None):
     address = addressing.row_stream(rows)
     tail_bytes = _tail_bytes(tail)
 
-    occupant, final_cells, sep_count, blocks, restarts = _layout_blocks(
-        _units_of(rows, mode)
-    )
-    region = bytearray(GRID_REGION_BYTES)
-    for r, char in final_cells:
-        region[r] = char
+    lengths = _block_lengths(rows, mode)
+    occupant, region = _render(lengths, address, mode)
 
     out = bytearray()
     out += GRID_MAGIC
@@ -189,13 +216,14 @@ def write_grid(rows, mode, sink, tail=None):
     out.append(len(tail_bytes))
     out += tail_bytes
     _emit(sink, out)
+    closed = lengths[:-1]
     return GridArtifact(
         mode=mode,
         pair_count=len(rows),
         occupant_len=len(occupant),
-        separator_count=sep_count,
-        block_count=blocks,
-        collision_restarts=restarts,
+        separator_count=len(occupant) - sum(lengths),
+        block_count=len(lengths),
+        collision_restarts=len(closed) - closed.count(BLOCK_UNITS),
         address_len=len(address),
         tail_len=len(tail_bytes),
         total_len=len(out),
@@ -261,74 +289,60 @@ def _read_tail(reader):
     return tail
 
 
-def _validate_occupant(occupant, base_offset):
-    """Check separator cycling and per-block ordinal consecutiveness.
+def _claimed_block_units(occupant, base_offset):
+    """Unit count of each block as the occupant stream's separators delimit it.
 
-    Returns the unit count per block (trailing partial block included).
+    A separator that ends the stream closes the last block.  Raises
+    GridFormatError on an empty block or one longer than 95 units.
     """
-    blocks = []
-    in_block = 0
-    sep_seen = 0
-    for idx, byte in enumerate(occupant):
-        offset = base_offset + idx
-        if byte < 32:
-            if in_block == 0:
-                raise GridFormatError(
-                    "separator without preceding occupant chars",
-                    offset=offset,
-                    block=len(blocks),
-                )
-            expected = SEPARATOR_CODES[sep_seen % len(SEPARATOR_CODES)]
-            if byte != expected:
-                raise GridFormatError(
-                    f"separator code {byte} does not match cycle value {expected}",
-                    offset=offset,
-                    block=len(blocks),
-                )
-            sep_seen += 1
-            blocks.append(in_block)
-            in_block = 0
-        else:
-            if in_block >= BLOCK_UNITS:
-                raise GridFormatError(
-                    "missing block separator after 95 occupant chars",
-                    offset=offset,
-                    block=len(blocks),
-                )
-            expected = OCCUPANT_ALPHABET[in_block]
-            if byte != expected:
-                raise GridFormatError(
-                    f"occupant ordinal gap: char {byte:#04x} where "
-                    f"{expected:#04x} (ordinal {in_block + 1}) was expected",
-                    offset=offset,
-                    block=len(blocks),
-                )
-            in_block += 1
-    if in_block:
-        blocks.append(in_block)
-    return blocks
+    lengths = list(map(len, occupant.translate(_MARK_SEPARATORS).split(_MARK)))
+    if lengths[-1] == 0:
+        lengths.pop()
+
+    if 0 in lengths or max(lengths, default=0) > BLOCK_UNITS:
+        block = next(n for n, k in enumerate(lengths) if not 0 < k <= BLOCK_UNITS)
+        offset = base_offset + sum(lengths[:block]) + block
+        if lengths[block]:
+            raise GridFormatError(
+                "missing block separator after 95 occupant chars",
+                offset=offset + BLOCK_UNITS,
+                block=block,
+            )
+        raise GridFormatError(
+            "separator without preceding occupant chars", offset=offset, block=block
+        )
+    return lengths
 
 
-def _expected_region(stream, mode, block_units):
-    """Rebuild the final block's region cells from parsed structure."""
-    region = bytearray(GRID_REGION_BYTES)
-    if not block_units:
-        return region
-    rows_per_unit = 1 if mode == MODE_1TT else 4
-    units = -(-len(stream) // (2 * rows_per_unit))
-    first_row = (units - block_units[-1]) * rows_per_unit
-    last_rows = addressing.row_array(stream[2 * first_row :])
-    for n, unit in enumerate(_units_of(last_rows, mode)):
-        char = OCCUPANT_ALPHABET[n]
-        for r in unit:
-            region[r] = char
-    return region
+def _first_difference(got, want):
+    """Index of the first byte where two unequal byte strings differ."""
+    pairs = enumerate(zip(got, want))
+    return next((i for i, (a, b) in pairs if a != b), min(len(got), len(want)))
+
+
+def _occupant_mismatch(got, want, base_offset):
+    """The error for an occupant stream that differs from its rendering."""
+    i = _first_difference(got, want)
+    if i == len(got):
+        what = f"missing separator code {want[i]} after a full final block"
+    elif i == len(want):
+        what = f"separator code {got[i]} after a partial final block"
+    elif want[i] < 32:
+        what = f"separator code {got[i]} does not match cycle value {want[i]}"
+    else:
+        what = (
+            f"occupant ordinal gap: char {got[i]:#04x} where {want[i]:#04x} "
+            f"(ordinal {OCCUPANT_ALPHABET.index(want[i]) + 1}) was expected"
+        )
+    block = want[:i].translate(_MARK_SEPARATORS).count(_MARK)
+    return GridFormatError(what, offset=base_offset + i, block=block)
 
 
 def parse_grid(source, mode=None):
     """Parse a paper-style artifact; exact inverse of write_grid.
 
-    Raises GridFormatError naming offset and block on any structural
+    Renders the occupant stream and the region again and byte-compares
+    them.  Raises GridFormatError naming offset and block on any
     defect: bad magic, separator or ordinal mismatches, channel length
     mismatches, inconsistent grid region, trailing garbage.
     """
@@ -348,15 +362,7 @@ def parse_grid(source, mode=None):
     occ_len = int.from_bytes(reader.take(8, "occupant length"), "big")
     occ_start = reader.off
     occupant = reader.take(occ_len, "occupant stream")
-    block_units = _validate_occupant(occupant, occ_start)
-    units_expected = pair_count if parsed_mode == MODE_1TT else -(-pair_count // 4)
-    units_seen = sum(block_units)
-    if units_seen != units_expected:
-        raise GridFormatError(
-            f"occupant stream holds {units_seen} units, header implies "
-            f"{units_expected}",
-            offset=occ_start,
-        )
+    block_units = _claimed_block_units(occupant, occ_start)
 
     addr_len = int.from_bytes(reader.take(8, "address length"), "big")
     addr_start = reader.off
@@ -370,8 +376,25 @@ def parse_grid(source, mode=None):
 
     tail = _read_tail(reader)
 
-    if bytes(region) != bytes(_expected_region(address, parsed_mode, block_units)):
-        raise GridFormatError("grid region inconsistent with channels", offset=14)
+    want_occupant, want_region = _render(block_units, address, parsed_mode)
+    if occupant != want_occupant:
+        raise _occupant_mismatch(occupant, want_occupant, occ_start)
+    units_expected = pair_count if parsed_mode == MODE_1TT else -(-pair_count // 4)
+    units_seen = sum(block_units)
+    if units_seen != units_expected:
+        raise GridFormatError(
+            f"occupant stream holds {units_seen} units, header implies "
+            f"{units_expected}",
+            offset=occ_start,
+        )
+    if region != want_region:
+        slot = _first_difference(region, want_region)
+        raise GridFormatError(
+            f"grid region inconsistent with channels: slot {slot} holds "
+            f"{region[slot]:#04x}, {want_region[slot]:#04x} expected",
+            offset=_HEADER_LEN + slot,
+            block=len(block_units) - 1 if block_units else None,
+        )
 
     return ParsedGrid(
         stream=bytes(address), tail=tail, mode=parsed_mode, block_units=block_units
@@ -397,9 +420,10 @@ def artifact_kind(data):
 
 
 def occupant_stream(data):
-    """Extract the raw occupant stream from paper-format artifact bytes."""
+    """Raw occupant stream of paper-format bytes; checks magic and truncation only."""
     if data[:4] != GRID_MAGIC:
         raise GridFormatError(f"bad magic {bytes(data[:4])!r}", offset=0)
-    start = _HEADER_LEN + GRID_REGION_BYTES
-    occ_len = int.from_bytes(data[start : start + 8], "big")
-    return bytes(data[start + 8 : start + 8 + occ_len])
+    reader = _Reader(data)
+    reader.take(_HEADER_LEN + GRID_REGION_BYTES, "header and grid region")
+    occ_len = int.from_bytes(reader.take(8, "occupant length"), "big")
+    return bytes(reader.take(occ_len, "occupant stream"))

@@ -7,7 +7,6 @@ header.  Tables are immutable after construction and safe to share.
 """
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
 
 from . import addressing
 
@@ -49,12 +48,6 @@ class TtFormatError(TtError):
         super().__init__(message)
 
 
-class TtRecord(NamedTuple):
-    row: int
-    address: addressing.FlagAddress
-    original: bytes
-
-
 class TranslationTable:
     """Immutable row -> original-pair dictionary."""
 
@@ -77,13 +70,6 @@ class TranslationTable:
         if not 0 <= row < self.row_count:
             raise TtError(f"row out of range: {row}")
         return self._originals[2 * row : 2 * row + 2]
-
-    def record_at(self, row):
-        return TtRecord(row, addressing.address_of_row(row), self.original_at(row))
-
-    def records(self) -> Iterator[TtRecord]:
-        for row in range(self.row_count):
-            yield self.record_at(row)
 
     def __eq__(self, other):
         return (

@@ -12,7 +12,6 @@ from fbar.codec import (
     FORMAT_HONEST,
     FORMAT_PAPER,
     ModeMismatchError,
-    chunk_4tt,
     compress,
     decompress,
     encode_rows,
@@ -47,24 +46,6 @@ def test_8_bytes_4tt(set4):
     assert result.summary.pair_count == 4
     assert result.report.paper_accounted == 1
     assert result.report.space_savings_paper == 0.875
-
-
-def test_chunk_4tt_examples():
-    assert len(chunk_4tt(bytes(16))) == 2
-    assert sum(len(rows) for _, rows in chunk_4tt(bytes(16))) == 8
-
-    chunks = chunk_4tt(b"resolved")
-    assert len(chunks) == 1
-    ordinal, rows = chunks[0]
-    assert ordinal == 1
-    expected = [
-        addressing.row_of_pair(ord(a), ord(b))
-        for a, b in ("re", "so", "lv", "ed")
-    ]
-    assert list(rows) == expected
-
-    nine = chunk_4tt(b"123456789")
-    assert len(nine) == 1 and len(nine[0][1]) == 4  # 8 bytes chunked, 1 tail byte
 
 
 def test_encode_rows_tail():

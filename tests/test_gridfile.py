@@ -1,13 +1,15 @@
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from fbar import addressing, gridfile
 from fbar.gridfile import (
     BLOCK_UNITS,
+    GRID_MAGIC,
     GRID_REGION_BYTES,
+    SEPARATOR_CODES,
     GridFormatError,
     MODE_1TT,
     MODE_4TT,
@@ -31,6 +33,74 @@ def grid_bytes(rows, mode=MODE_1TT, tail=None):
     sink = io.BytesIO()
     summary = write_grid(rows, mode, sink, tail)
     return sink.getvalue(), summary
+
+
+OCCUPANT_AT = 14 + GRID_REGION_BYTES + 8  # offset of the occupant stream
+
+
+def with_occupant(data, occupant):
+    """The artifact with its occupant stream and length prefix replaced."""
+    old_len = len(occupant_stream(data))
+    prefix = len(occupant).to_bytes(8, "big")
+    return data[: OCCUPANT_AT - 8] + prefix + occupant + data[OCCUPANT_AT + old_len :]
+
+
+def reference_layout(rows, mode):
+    """Occupant stream, region, blocks, separators and restarts of ``rows``.
+
+    The layout as a loop over units with a set of the current block's
+    rows, cleared at every block: the oracle for write_grid.
+    """
+    size = 1 if mode == MODE_1TT else 4
+    occupant = bytearray()
+    occupied, cells, last_cells = set(), [], []
+    block_len = blocks = separators = restarts = 0
+
+    def close_block():
+        nonlocal block_len, separators, cells, last_cells
+        occupant.append(SEPARATOR_CODES[separators % len(SEPARATOR_CODES)])
+        separators += 1
+        last_cells, cells = cells, []
+        occupied.clear()
+        block_len = 0
+
+    for at in range(0, len(rows), size):
+        unit = rows[at : at + size]
+        if block_len and any(r in occupied for r in unit):
+            close_block()
+            restarts += 1
+        if block_len == 0:
+            blocks += 1
+        char = OCCUPANT_ALPHABET[block_len]
+        occupant.append(char)
+        for r in unit:
+            occupied.add(r)
+            cells.append((r, char))
+        block_len += 1
+        if block_len == BLOCK_UNITS:
+            close_block()
+    region = bytearray(GRID_REGION_BYTES)
+    for r, char in cells or last_cells:
+        region[r] = char
+    return bytes(occupant), bytes(region), blocks, separators, restarts
+
+
+@st.composite
+def layout_inputs(draw):
+    """Rows that run into both block limits: mostly distinct rows, with
+    some (or all) drawn from an alphabet of at most 3 rows, so blocks end
+    at 95 units and at collisions.  4tt inputs may end in a partial unit."""
+    mode = draw(st.sampled_from((MODE_1TT, MODE_4TT)))
+    size = 1 if mode == MODE_1TT else 4
+    units = draw(st.sampled_from((1, 2, 94, 95, 96, 190)))
+    count = units * size - draw(st.integers(0, size - 1))
+    base = draw(st.integers(0, 65536 - count))
+    rows = list(range(base, base + count))
+    alphabet = draw(st.lists(st.integers(0, 65535), min_size=1, max_size=3))
+    picks = st.tuples(st.integers(0, count - 1), st.sampled_from(alphabet))
+    for at, row in draw(st.lists(picks, max_size=count)):
+        rows[at] = row
+    return rows, mode
 
 
 def test_resolved_stream_and_region():
@@ -271,3 +341,89 @@ def test_honest_errors_name_their_offset():
     with pytest.raises(GridFormatError) as err:
         parse_honest(io.BytesIO(bytes(bad)))
     assert "marker" in str(err.value) and err.value.offset == len(data) - 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(layout_inputs())
+@example(([], MODE_1TT))
+@example(([], MODE_4TT))
+@example(([7, 7, 8, 7, 9, 9, 9, 9, 7, 8], MODE_4TT))  # repeats inside units, partial last
+@example(([0, 1, 2, 3, 4, 5], MODE_4TT))  # a partial unit beside row 0
+@example((list(range(95)) + [0] + list(range(200, 294)), MODE_1TT))
+def test_layout_matches_reference(case):
+    rows, mode = case
+    data, summary = grid_bytes(rows, mode=mode)
+    occupant, region, blocks, separators, restarts = reference_layout(rows, mode)
+    assert occupant_stream(data) == occupant
+    assert data[14 : 14 + GRID_REGION_BYTES] == region
+    assert summary.block_count == blocks
+    assert summary.separator_count == separators
+    assert summary.collision_restarts == restarts
+    parsed = parse_grid(io.BytesIO(data))
+    assert parsed.rows == rows and len(parsed.block_units) == blocks
+
+
+def test_full_final_block_without_its_separator_rejected():
+    data, _ = grid_bytes(list(range(95)))
+    stream = occupant_stream(data)
+    assert stream == OCCUPANT_ALPHABET + b"\x01"
+    with pytest.raises(GridFormatError) as err:
+        parse_grid(io.BytesIO(with_occupant(data, stream[:-1])))
+    assert "separator" in str(err.value)
+    assert err.value.offset == OCCUPANT_AT + 95 and err.value.block == 0
+
+
+def test_separator_after_partial_final_block_rejected():
+    data, _ = grid_bytes([1, 2, 3])
+    assert occupant_stream(data) == b"abc"
+    with pytest.raises(GridFormatError) as err:
+        parse_grid(io.BytesIO(with_occupant(data, b"abc\x01")))
+    assert "separator" in str(err.value)
+    assert err.value.offset == OCCUPANT_AT + 3 and err.value.block == 0
+
+
+def test_missing_separator_after_95_chars_rejected():
+    data, _ = grid_bytes(list(range(96)))
+    stream = occupant_stream(data)
+    with pytest.raises(GridFormatError) as err:
+        parse_grid(io.BytesIO(with_occupant(data, stream[:95] + stream[96:])))
+    assert "missing block separator after 95 occupant chars" in str(err.value)
+    assert err.value.offset == OCCUPANT_AT + 95 and err.value.block == 0
+
+
+@pytest.mark.parametrize(
+    "edit, offset, block",
+    [
+        (lambda s: b"\x01" + s, 0, 0),  # leading separator
+        (lambda s: s[:96] + b"\x02" + s[96:], 96, 1),  # doubled separator
+    ],
+    ids=["leading", "doubled"],
+)
+def test_separator_without_occupant_chars_rejected(edit, offset, block):
+    data, _ = grid_bytes(list(range(96)))
+    forged = with_occupant(data, edit(occupant_stream(data)))
+    with pytest.raises(GridFormatError) as err:
+        parse_grid(io.BytesIO(forged))
+    assert "separator without preceding occupant chars" in str(err.value)
+    assert err.value.offset == OCCUPANT_AT + offset and err.value.block == block
+
+
+def test_region_mismatch_names_slot_and_block():
+    data, _ = grid_bytes(list(range(96)))
+    buf = bytearray(data)
+    buf[14 + 60000] ^= 0x41
+    with pytest.raises(GridFormatError) as err:
+        parse_grid(io.BytesIO(bytes(buf)))
+    assert "region" in str(err.value)
+    assert err.value.offset == 14 + 60000 and err.value.block == 1
+
+
+def test_occupant_stream_rejects_truncation():
+    with pytest.raises(GridFormatError) as err:
+        occupant_stream(GRID_MAGIC + bytes(10))
+    assert "truncated" in str(err.value) and err.value.offset == 14
+    data, _ = grid_bytes(list(range(10)))
+    for cut in (OCCUPANT_AT - 3, OCCUPANT_AT + 5):  # length prefix, stream
+        with pytest.raises(GridFormatError) as err:
+            occupant_stream(data[:cut])
+        assert "truncated" in str(err.value) and err.value.offset == cut
