@@ -6,6 +6,7 @@ serializations are provided: a fixed-width text form of exactly
 header.  Tables are immutable after construction and safe to share.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import addressing
@@ -134,34 +135,46 @@ def verify_tt(tt):
     return report
 
 
-def _escape_original(pair):
-    out = []
-    for b in pair:
-        if 32 <= b <= 126 and b != _ESCAPE_MARK:
-            out.append(chr(b))
-        else:
-            out.append(f"%{b:02X}")
-    return "".join(out)
+# Text form of one original byte: printable ASCII stands for itself, any
+# other byte (and the escape mark) is written as %XX.
+_ESCAPED = tuple(
+    chr(b) if 32 <= b <= 126 and b != _ESCAPE_MARK else f"%{b:02X}" for b in range(256)
+)
+_NIBBLES = tuple(str(c) for c in range(1, 17))
+_ALPHABET_TEXT = OCCUPANT_ALPHABET.decode("ascii")
+# Lines joined per write: enough to amortize the call, few enough that
+# the 8 MiB text is never held whole.
+_TEXT_CHUNK_ROWS = 1024
+
+
+def _text_line(number, address, x, x2):
+    """The text form's line for row ``number - 1`` holding the pair (x, x2)."""
+    body = f"{number} {address} {_ALPHABET_TEXT} {_ESCAPED[x]}{_ESCAPED[x2]}"
+    return body.ljust(TEXT_ROW_BYTES - 1) + "\n"
 
 
 def text_row(tt, row):
     """One fixed-width 128-byte text row, newline-terminated."""
-    i, j, k, l = addressing.address_of_row(row)
-    body = (
-        f"{row + 1} {i}x{j}x{k}x{l} "
-        f"{OCCUPANT_ALPHABET.decode('ascii')} "
-        f"{_escape_original(tt.original_at(row))}"
-    )
-    line = body.ljust(TEXT_ROW_BYTES - 1) + "\n"
-    return line.encode("ascii")
+    address = "x".join(map(str, addressing.address_of_row(row)))
+    return _text_line(row + 1, address, *tt.original_at(row)).encode("ascii")
 
 
 def serialize_text(tt, sink):
-    """Write the fixed-width text form; returns the byte count (8 MiB)."""
+    """Write the fixed-width text form; returns the byte count (8 MiB).
+
+    Rows are formatted from the nibble strings of their addresses, taken
+    in row order (l fastest), and from a per-byte escape table, and are
+    written 1,024 lines per ``sink.write``.
+    """
+    if tt.row_count > TT_ROWS:
+        raise ValueError(f"row out of range 0..65535: {TT_ROWS}")
+    addresses = map("x".join, itertools.product(_NIBBLES, repeat=4))
+    originals = tt.originals
+    lines = map(_text_line, itertools.count(1), addresses, originals[0::2], originals[1::2])
     written = 0
     try:
-        for row in range(tt.row_count):
-            written += sink.write(text_row(tt, row))
+        while chunk := "".join(itertools.islice(lines, _TEXT_CHUNK_ROWS)):
+            written += sink.write(chunk.encode("ascii"))
     except OSError as exc:
         raise TtError(f"text serialization failed after {written} bytes: {exc}") from exc
     return written

@@ -1,8 +1,10 @@
 """Pins the exact bytes of every artifact kind and of the binary table.
 
-The hashes were recorded with the per-pair implementation that preceded
-the byte-permutation kernel, so any change in the bytes written, for
-any mode, format or layout, fails here.
+The artifact and binary-table hashes were recorded with the per-pair
+implementation that preceded the byte-permutation kernel, and the text
+table's with the per-row formatter that preceded the table-driven one,
+so any change in the bytes written, for any mode, format or layout,
+fails here.
 """
 
 import hashlib
@@ -11,7 +13,7 @@ import random
 
 import pytest
 
-from fbar import codec, transtable
+from fbar import addressing, codec, transtable
 from fbar.codec import CompressJob
 
 INPUTS = {
@@ -76,6 +78,11 @@ SHA256 = {
     "random200k.4tt.honest.grouped": "4bc389ac1fd8b04512aec637e752c4bec0eb5dd78c4a38b006edbe23c1b06d7e",
 }
 
+TEXT_SHA256 = {
+    "interleaved": "3b4db8f327d2782e0d197817e923d3184445829a064acfe791a7f863412bb544",
+    "grouped": "70687cfd4049626fd944e54021cf87efc96048d05b29f626800068e6bd681e43",
+}
+
 
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
@@ -96,3 +103,23 @@ def test_artifacts_are_byte_identical(layout):
                 assert _sha(artifact) == SHA256[f"{name}.{mode}.{fmt}.{layout}"], (
                     name, mode, fmt,
                 )
+
+
+@pytest.mark.parametrize("layout", ["interleaved", "grouped"])
+def test_text_table_is_byte_identical(layout):
+    tt = transtable.generate_tt(layout)
+    sink = io.BytesIO()
+    transtable.serialize_text(tt, sink)
+    text = sink.getvalue()
+    assert _sha(text) == TEXT_SHA256[layout]
+    width = transtable.TEXT_ROW_BYTES
+    fragments = {
+        0: b" 1x1x1x1 ",
+        addressing.row_of_pair(0x00, 0x00, layout): b" %00%00 ",
+        addressing.row_of_pair(0x25, 0x41, layout): b" %25A ",
+        65535: b"65536 16x16x16x16 ",
+    }
+    for row, fragment in fragments.items():
+        line = transtable.text_row(tt, row)
+        assert line == text[row * width : (row + 1) * width], row
+        assert fragment in line, row

@@ -177,6 +177,48 @@ def test_audit_catches_single_record_flip(tt):
 def test_audit_catches_short_table(tt):
     report = pigeonhole_audit(transtable.TranslationTable(tt.originals[:-2]))
     assert not report.bijection_ok
+    assert report.distinct_rows == 65536
+    [(row, message)] = report.violations
+    assert row == 65535
+    assert "decodes to ??" in message
+
+
+def test_audit_canonical_grouped(tt_grouped):
+    report = pigeonhole_audit(tt_grouped)
+    assert report.bijection_ok
+    assert report.distinct_rows == 65536
+    assert report.violations == []
+    assert report.collision_witness == (b"aa", b"bb", b"a")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    row=st.integers(0, 65535),
+    offset=st.integers(0, 1),
+    mask=st.integers(1, 255),
+    layout=st.sampled_from(["interleaved", "grouped"]),
+)
+def test_audit_catches_any_single_byte_mutation(tt, tt_grouped, row, offset, mask, layout):
+    table = {"interleaved": tt, "grouped": tt_grouped}[layout]
+    buf = bytearray(table.originals)
+    buf[2 * row + offset] ^= mask
+    report = pigeonhole_audit(transtable.TranslationTable(bytes(buf), layout))
+    assert not report.bijection_ok
+    assert report.first_bad_row() == row
+    assert len(report.violations) == 1
+
+
+def test_audit_names_both_swapped_records(tt):
+    buf = bytearray(tt.originals)
+    a, b = 77, 60000
+    buf[2 * a : 2 * a + 2], buf[2 * b : 2 * b + 2] = (
+        buf[2 * b : 2 * b + 2],
+        buf[2 * a : 2 * a + 2],
+    )
+    report = pigeonhole_audit(transtable.TranslationTable(bytes(buf)))
+    assert not report.bijection_ok
+    assert len(report.violations) == 2
+    assert {row for row, _ in report.violations} == {a, b}
 
 
 def test_build_report_fields():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import pytest
@@ -112,6 +113,45 @@ def test_text_row_escapes_nonprintables(tt):
     line = text_row(tt, row).decode("ascii")
     assert "%00%00" in line
     assert len(line) == TEXT_ROW_BYTES
+
+
+def test_text_short_table_writes_only_its_rows(tt):
+    sink = io.BytesIO()
+    written = serialize_text(TranslationTable(tt.originals[:6]), sink)
+    data = sink.getvalue()
+    assert written == len(data) == 3 * TEXT_ROW_BYTES
+    # recorded from the per-row formatter
+    assert hashlib.sha256(data).hexdigest() == (
+        "68015e4ec47c5e8ab68c2a3540943f9aa2a964bc794a4df91d2dfc919114752f"
+    )
+    assert data.startswith(b"1 1x1x1x1 ") and b"\n3 1x1x1x3 " in data
+
+
+def test_text_table_longer_than_65536_rows_refused(tt):
+    with pytest.raises(ValueError, match="row out of range"):
+        serialize_text(TranslationTable(tt.originals + b"ab"), io.BytesIO())
+
+
+class _FailingSink:
+    """Accepts the first write, then fails like a full disk."""
+
+    def __init__(self):
+        self.accepted = 0
+
+    def write(self, data):
+        if self.accepted:
+            raise OSError(28, "No space left on device")
+        self.accepted = len(data)
+        return len(data)
+
+
+def test_text_write_failure_names_bytes_written(tt):
+    sink = _FailingSink()
+    with pytest.raises(TtError) as err:
+        serialize_text(tt, sink)
+    assert 0 < sink.accepted < TEXT_TOTAL_BYTES
+    assert f"after {sink.accepted} bytes" in str(err.value)
+    assert isinstance(err.value.__cause__, OSError)
 
 
 def test_binary_roundtrip(tt):
