@@ -29,7 +29,7 @@ scalar functions below are the reference the kernel is tested against.
 
 import sys
 from array import array
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import pairops
 
@@ -40,11 +40,7 @@ IP_INDEX = {combo: pos for pos, combo in enumerate(pairops.IP_COMBOS, start=1)}
 ZN_INDEX = {combo: pos for pos, combo in enumerate(pairops.ZN_COMBOS, start=1)}
 
 
-class FlagAddress(NamedTuple):
-    i: int
-    j: int
-    k: int
-    l: int
+FlagAddress = namedtuple("FlagAddress", "i j k l")
 
 
 def combo_index(combo):

@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 import time
+from collections import Counter
 
 from . import codec, gridfile, metrics, transtable
 from .codec import CompressJob, DecompressJob, ModeMismatchError
@@ -289,8 +290,9 @@ def cmd_entropy(args):
             print(f"{path}: unreadable ({exc})")
             status = EXIT_UNREADABLE
             continue
-        distinct = len(set(data))
-        h = metrics.empirical_entropy(data)
+        counts = Counter(data)
+        distinct = len(counts)
+        h = metrics.empirical_entropy(counts)
         h0 = metrics.shannon_order0(distinct) if distinct else 0.0
         print(
             f"{path}: {len(data)} bytes, {distinct} symbols, "

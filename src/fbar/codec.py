@@ -9,25 +9,22 @@ input, including odd lengths.
 
 import io
 import time
-from dataclasses import dataclass
-from typing import Optional, Union
+from collections import namedtuple
 
 from . import addressing, gridfile, metrics
-from .gridfile import MODE_1TT, MODE_4TT, GridArtifact, GridFormatError
-from .transtable import TranslationTable, TtSet4
+from .gridfile import MODE_1TT, MODE_4TT, GridFormatError
+from .transtable import TtSet4
 
 FORMAT_PAPER = "paper"
 FORMAT_HONEST = "honest"
 FORMATS = (FORMAT_PAPER, FORMAT_HONEST)
-
-Tables = Union[TranslationTable, TtSet4]
 
 
 class ModeMismatchError(Exception):
     """Artifact mode disagrees with the supplied tables or request."""
 
 
-def _primary_table(tables) -> TranslationTable:
+def _primary_table(tables):
     return tables.tables[0] if isinstance(tables, TtSet4) else tables
 
 
@@ -39,26 +36,15 @@ def _check_tables(tables, mode):
     tables.ensure_verified()
 
 
-@dataclass
-class CompressJob:
-    data: bytes
-    tables: Tables
-    mode: str = MODE_1TT
-    fmt: str = FORMAT_PAPER
-
-
-@dataclass
-class DecompressJob:
-    artifact: bytes
-    tables: Tables
-    mode: Optional[str] = None  # None: trust the header
-
-
-@dataclass
-class CompressResult:
-    artifact: bytes
-    summary: Optional[GridArtifact]  # None for the honest format
-    report: metrics.MetricsReport
+# tables: a TranslationTable, or a TtSet4 in 4tt mode.
+CompressJob = namedtuple(
+    "CompressJob", "data tables mode fmt", defaults=(MODE_1TT, FORMAT_PAPER)
+)
+# mode None: trust the header.
+DecompressJob = namedtuple("DecompressJob", "artifact tables mode", defaults=(None,))
+# summary: a gridfile.GridArtifact, None for the honest format;
+# report: a metrics.MetricsReport.
+CompressResult = namedtuple("CompressResult", "artifact summary report")
 
 
 def encode_rows(data, layout="interleaved"):

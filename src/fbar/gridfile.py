@@ -25,10 +25,9 @@ does not derive them from the rows, so an early restart without a
 collision, or a repeated row inside a 1tt block, still parses.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from operator import getitem
-from typing import Optional
 
 from . import addressing
 from .transtable import OCCUPANT_ALPHABET
@@ -79,19 +78,17 @@ class GridFormatError(Exception):
         super().__init__(" ".join(parts))
 
 
-@dataclass
-class GridArtifact:
-    """Writer summary: what went into each channel of one artifact."""
+class GridArtifact(namedtuple(
+    "GridArtifact",
+    "mode pair_count occupant_len separator_count block_count collision_restarts "
+    "address_len tail_len total_len",
+)):
+    """Writer summary: what went into each channel of one artifact.
 
-    mode: str
-    pair_count: int
-    occupant_len: int  # occupant chars + separators
-    separator_count: int
-    block_count: int
-    collision_restarts: int
-    address_len: int
-    tail_len: int
-    total_len: int
+    occupant_len counts the occupant chars and the separators.
+    """
+
+    __slots__ = ()
 
     @property
     def paper_accounted_size(self):
@@ -104,10 +101,10 @@ class GridArtifact:
         return self.address_len + self.tail_len
 
 
-@dataclass
 class ParsedHonest:
-    stream: bytes  # the rows, 2 big-endian bytes each
-    tail: Optional[int]
+    def __init__(self, stream, tail):
+        self.stream = stream  # the rows, 2 big-endian bytes each
+        self.tail = tail  # the odd last byte, or None
 
     @property
     def rows(self):
@@ -115,10 +112,11 @@ class ParsedHonest:
         return addressing.row_array(self.stream).tolist()
 
 
-@dataclass
 class ParsedGrid(ParsedHonest):
-    mode: str
-    block_units: list  # unit count per block, in stream order
+    def __init__(self, stream, tail, mode, block_units):
+        super().__init__(stream, tail)
+        self.mode = mode
+        self.block_units = block_units  # unit count per block, in stream order
 
 
 def _tail_bytes(tail):

@@ -13,9 +13,6 @@ Two accountings are kept strictly apart and both are always reported:
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional
 
 from . import addressing, gridfile
 
@@ -67,6 +64,8 @@ def fbar_H(ratio):
     Exact (an int) whenever B is an exact power of two, including
     fractional powers like 1/2; otherwise a float.
     """
+    from fractions import Fraction  # imported here: no command path needs it
+
     frac = Fraction(ratio)
     if frac <= 0:
         raise ValueError(f"ratio must be positive, got {ratio!r}")
@@ -78,6 +77,8 @@ def fbar_H(ratio):
 
 def savings_from_H(H):
     """Space savings fraction 1 - 2**H / 8; exact Fraction for integer H."""
+    from fractions import Fraction  # imported here: no command path needs it
+
     if isinstance(H, float) and H.is_integer():
         H = int(H)
     if isinstance(H, int):
@@ -103,23 +104,28 @@ def channel_tally(n_bytes):
     }
 
 
-@dataclass
 class MetricsReport:
-    input_size: int
-    mode: str
-    fmt: str
-    paper_size_1tt: int
-    paper_size_4tt: int
-    paper_accounted: Optional[int]  # actual occupant stream bytes (paper fmt)
-    honest_size: int
-    artifact_size: int
-    space_savings_paper: float
-    fbar_H: int
-    shannon_H0: float
-    empirical_H: float
-    manipulation_total: int
-    elapsed: float
-    throughput: float
+    def __init__(
+        self, input_size, mode, fmt, paper_size_1tt, paper_size_4tt, paper_accounted,
+        honest_size, artifact_size, space_savings_paper, fbar_H, shannon_H0,
+        empirical_H, manipulation_total, elapsed, throughput,
+    ):
+        self.input_size = input_size
+        self.mode = mode
+        self.fmt = fmt
+        self.paper_size_1tt = paper_size_1tt
+        self.paper_size_4tt = paper_size_4tt
+        # actual occupant stream bytes (paper fmt), None for the honest format
+        self.paper_accounted = paper_accounted
+        self.honest_size = honest_size
+        self.artifact_size = artifact_size
+        self.space_savings_paper = space_savings_paper
+        self.fbar_H = fbar_H
+        self.shannon_H0 = shannon_H0
+        self.empirical_H = empirical_H
+        self.manipulation_total = manipulation_total
+        self.elapsed = elapsed
+        self.throughput = throughput
 
     def as_kv(self):
         pairs = [
@@ -178,13 +184,17 @@ def build_report(data, mode, fmt, elapsed, paper_accounted, honest_size, artifac
     )
 
 
-@dataclass
 class AuditReport:
-    bijection_ok: bool
-    distinct_rows: int
-    violations: list = field(default_factory=list)  # (row, message)
-    collision_witness: Optional[tuple] = None  # (input_a, input_b, shared stream)
-    channel_bits: dict = field(default_factory=dict)
+    def __init__(
+        self, bijection_ok, distinct_rows, violations=None, collision_witness=None,
+        channel_bits=None,
+    ):
+        self.bijection_ok = bijection_ok
+        self.distinct_rows = distinct_rows
+        # (row, message); each report gets its own list
+        self.violations = [] if violations is None else violations
+        self.collision_witness = collision_witness  # (input_a, input_b, shared stream)
+        self.channel_bits = {} if channel_bits is None else channel_bits
 
     def first_bad_row(self):
         return self.violations[0][0] if self.violations else None

@@ -7,7 +7,6 @@ header.  Tables are immutable after construction and safe to share.
 """
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import addressing
 
@@ -96,10 +95,11 @@ def generate_tt(layout="interleaved"):
     return TranslationTable(addressing.pair_table(layout), layout)
 
 
-@dataclass
 class TtVerifyReport:
-    row_count: int
-    violations: list = field(default_factory=list)  # (row or None, message)
+    def __init__(self, row_count, violations=None):
+        self.row_count = row_count
+        # (row or None, message); each report gets its own list
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self):

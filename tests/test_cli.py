@@ -181,10 +181,17 @@ def test_entropy_command(tmp_path, capsys):
     flat.write_bytes(b"a" * 100)
     mixed = tmp_path / "mixed.bin"
     mixed.write_bytes(bytes(range(256)))
-    assert main(["entropy", str(flat), str(mixed)]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "empirical H 0.0000" in out
-    assert "empirical H 8.0000" in out
+    skewed = tmp_path / "skewed.bin"
+    skewed.write_bytes(b"aab")
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    assert main(["entropy", str(flat), str(mixed), str(skewed), str(empty)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        f"{flat}: 100 bytes, 1 symbols, empirical H 0.0000 bits/byte, log2(m) 0.0000 bpc",
+        f"{mixed}: 256 bytes, 256 symbols, empirical H 8.0000 bits/byte, log2(m) 8.0000 bpc",
+        f"{skewed}: 3 bytes, 2 symbols, empirical H 0.9183 bits/byte, log2(m) 1.0000 bpc",
+        f"{empty}: 0 bytes, 0 symbols, empirical H 0.0000 bits/byte, log2(m) 0.0000 bpc",
+    ]
 
 
 def test_grouped_layout_cycle(tmp_path, no_tt_env):

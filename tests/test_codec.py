@@ -31,6 +31,16 @@ def test_resolved_1tt_paper(tt):
     assert result.report.manipulation_total == 32
 
 
+def test_job_defaults(tt):
+    for job in (CompressJob(b"ab", tt), CompressJob(data=b"ab", tables=tt)):
+        assert (job.data, job.tables, job.mode, job.fmt) == (b"ab", tt, MODE_1TT, FORMAT_PAPER)
+    job = CompressJob(b"ab", tt, MODE_4TT, FORMAT_HONEST)
+    assert (job.mode, job.fmt) == (MODE_4TT, FORMAT_HONEST)
+    for job in (DecompressJob(b"FBGR", tt), DecompressJob(artifact=b"FBGR", tables=tt)):
+        assert (job.artifact, job.tables, job.mode) == (b"FBGR", tt, None)
+    assert DecompressJob(b"FBGR", tt, MODE_4TT).mode == MODE_4TT
+
+
 def test_empty_input_all_modes(tt, set4):
     for tables, mode in ((tt, MODE_1TT), (set4, MODE_4TT)):
         for fmt in (FORMAT_PAPER, FORMAT_HONEST):

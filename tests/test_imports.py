@@ -1,0 +1,28 @@
+"""The modules a cold `fbar` process loads.
+
+Each command runs in a fresh interpreter, so every module imported by
+``fbar.cli`` is paid for on every call.  Heavy standard-library modules
+the codec never runs must stay out of the import graph.
+"""
+
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# dataclasses pulls in inspect and ast; fractions pulls in decimal.
+NOT_IMPORTED = {"dataclasses", "typing", "inspect", "ast", "fractions", "decimal"}
+
+
+def test_cli_import_graph_stays_light():
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); import fbar.cli; "
+        "print(chr(10).join(sorted(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    loaded = set(out.split())
+    assert "fbar.cli" in loaded
+    assert NOT_IMPORTED & loaded == set()

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 from fbar import gridfile, metrics, transtable
 from fbar.metrics import (
+    AuditReport,
     channel_tally,
     empirical_entropy,
     fbar_H,
@@ -109,7 +110,8 @@ LADDER = [
 def test_entropy_ladder_exact(ratio, H, savings):
     got_H = fbar_H(ratio)
     assert got_H == H and isinstance(got_H, int)
-    assert savings_from_H(got_H) == savings
+    got_savings = savings_from_H(got_H)
+    assert got_savings == savings and isinstance(got_savings, Fraction)
 
 
 def test_fbar_H_float_half():
@@ -233,3 +235,11 @@ def test_build_report_fields():
     assert report.manipulation_total == 32
     assert "input_size=8" in report.render_kv()
     assert "resolved" not in report.render_table()
+
+
+def test_audit_reports_never_share_defaults():
+    a, b = AuditReport(True, 65536), AuditReport(True, 65536)
+    a.violations.append((0, "row 0"))
+    a.channel_bits["address_bits_per_pair"] = 16
+    assert b.violations == [] and b.channel_bits == {}
+    assert b.collision_witness is None

@@ -13,6 +13,7 @@ from fbar.transtable import (
     TtError,
     TtFormatError,
     TtSet4,
+    TtVerifyReport,
     generate_tt,
     load_binary,
     serialize_binary,
@@ -64,6 +65,12 @@ def test_verify_swapped_rows_two_violations(tt):
     assert not report.ok
     assert len(report.violations) == 2
     assert {v[0] for v in report.violations} == {a, b}
+
+
+def test_verify_reports_never_share_violations():
+    a, b = TtVerifyReport(TT_ROWS), TtVerifyReport(row_count=TT_ROWS)
+    a.violations.append((None, "row count"))
+    assert b.violations == [] and b.ok
 
 
 def test_verify_missing_row_count_violation(tt):
