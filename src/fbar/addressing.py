@@ -109,14 +109,9 @@ def row_of_pair(x, x2, layout="interleaved"):
 
 
 # The byte kernel.  F maps a byte to the interleaved row byte of its
-# coordinates; the four nibble tables split and move the halves of a row
-# byte for the middle-nibble swap.
+# coordinates.
 _F = bytes((ip - 1) << 4 | (zn - 1) for ip, zn in _BYTE_COORDS)
 _F_INV = bytes(_F.index(a) for a in range(256))
-_KEEP_HIGH = bytes(b & 0xF0 for b in range(256))
-_HIGH_TO_LOW = bytes(b >> 4 for b in range(256))
-_LOW_TO_HIGH = bytes((b & 0x0F) << 4 for b in range(256))
-_KEEP_LOW = bytes(b & 0x0F for b in range(256))
 
 
 def _all_rows():
@@ -138,21 +133,22 @@ _INVERSE_ROWS = {
 }
 
 
-def _or_bytes(a, b):
-    both = int.from_bytes(a, "big") | int.from_bytes(b, "big")
-    return both.to_bytes(len(a), "big")
-
-
 def _regroup(stream, layout):
-    """Convert a row stream between the interleaved and the given layout."""
+    """Convert a row stream between the interleaved and the given layout.
+
+    The grouped layout swaps the middle nibbles of every row.  One delta
+    swap does it for the whole stream read as a big-endian integer: ``t``
+    marks where the two nibbles differ, and XOR-ing it into both places
+    exchanges them.
+    """
     _check_layout(layout)
     if layout == "interleaved":
         return stream
-    hi, lo = stream[0::2], stream[1::2]
-    out = bytearray(len(stream))
-    out[0::2] = _or_bytes(hi.translate(_KEEP_HIGH), lo.translate(_HIGH_TO_LOW))
-    out[1::2] = _or_bytes(hi.translate(_LOW_TO_HIGH), lo.translate(_KEEP_LOW))
-    return bytes(out)
+    if len(stream) % 2:
+        raise ValueError(f"row stream of odd length {len(stream)}")
+    words = int.from_bytes(stream, "big")
+    t = (words >> 4 ^ words) & int.from_bytes(b"\x00\xf0" * (len(stream) // 2), "big")
+    return (words ^ t ^ t << 4).to_bytes(len(stream), "big")
 
 
 def encode_stream(data, layout="interleaved"):

@@ -133,27 +133,22 @@ def cmd_decompress(args):
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
-    kind = gridfile.artifact_kind(artifact)
-    if kind is None:
+    if gridfile.artifact_kind(artifact) is None:
         print(f"error: {args.input} is not a recognized artifact", file=sys.stderr)
         return EXIT_BAD_ARTIFACT
-    # Header mode decides how many tables to supply; honest artifacts are
-    # mode-agnostic.
-    header_mode = None
-    if kind == "paper" and len(artifact) > 5:
-        header_mode = {1: MODE_1TT, 4: MODE_4TT}.get(artifact[5])
-    tables = _load_tables(args, header_mode or MODE_1TT)
-    if tables is None:
+    # The codec reads the mode from the artifact; one table decodes any.
+    tt = _load_tables(args, MODE_1TT)
+    if tt is None:
         return EXIT_NO_TT
     try:
-        tables.ensure_verified()  # keep verification out of the timed region
+        tt.ensure_verified()  # keep verification out of the timed region
     except TtError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_AUDIT_FAIL
     start = time.perf_counter()
     try:
         data = codec.decompress(
-            DecompressJob(artifact=artifact, tables=tables, mode=args.mode)
+            DecompressJob(artifact=artifact, tables=tt, mode=args.mode)
         )
     except ModeMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -205,10 +200,9 @@ def cmd_audit(args):
 def _bench_row(path, tables, mode):
     with open(path, "rb") as fh:
         data = fh.read()
-    result, restored = codec.roundtrip(data, tables, mode=mode)
-    t_c = result.report.elapsed
+    result = codec.compress(CompressJob(data=data, tables=tables, mode=mode))
     start = time.perf_counter()
-    _ = codec.decompress(DecompressJob(artifact=result.artifact, tables=tables))
+    restored = codec.decompress(DecompressJob(artifact=result.artifact, tables=tables))
     t_d = time.perf_counter() - start
     if restored != data:
         raise RuntimeError(f"round-trip mismatch on {path}")
@@ -216,7 +210,7 @@ def _bench_row(path, tables, mode):
     return {
         "file": os.path.basename(path),
         "size": n,
-        "t_c": t_c,
+        "t_c": result.report.elapsed,
         "t_d": t_d,
         "p1": result.report.paper_size_1tt,
         "p4": result.report.paper_size_4tt,
@@ -226,15 +220,14 @@ def _bench_row(path, tables, mode):
 
 
 def cmd_bench(args):
-    mode = args.mode or MODE_1TT
-    tables = _load_tables(args, mode)
+    tables = _load_tables(args, args.mode)
     if tables is None:
         return EXIT_NO_TT
     rows = []
     failed = []
     for path in args.files:
         try:
-            rows.append(_bench_row(path, tables, mode))
+            rows.append(_bench_row(path, tables, args.mode))
         except (OSError, RuntimeError, GridFormatError, TtError) as exc:
             failed.append((path, str(exc)))
     if args.report == "kv":

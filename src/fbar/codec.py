@@ -1,10 +1,11 @@
 """End-to-end compression and decompression pipelines.
 
 1-TT mode maps every 2-byte pair to one occupant char plus one row;
-4-TT mode maps every 8-byte chunk (4 pairs, one row per table) to one
-occupant char plus four rows.  Either pipeline emits the paper-style
-or the honest artifact format and is lossless for arbitrary byte
-input, including odd lengths.
+4-TT mode maps every 8-byte chunk (4 pairs, each coded by the same
+table) to one occupant char plus four rows.  Either pipeline emits the
+paper-style or the honest artifact format and is lossless for
+arbitrary byte input, including odd lengths.  Decompression reads the
+mode from the artifact, so any verified table decodes any artifact.
 """
 
 import io
@@ -24,19 +25,7 @@ class ModeMismatchError(Exception):
     """Artifact mode disagrees with the supplied tables or request."""
 
 
-def _primary_table(tables):
-    return tables.tables[0] if isinstance(tables, TtSet4) else tables
-
-
-def _check_tables(tables, mode):
-    if mode == MODE_4TT and not isinstance(tables, TtSet4):
-        raise ModeMismatchError("4tt mode needs a 4-table set")
-    if mode == MODE_1TT and isinstance(tables, TtSet4):
-        raise ModeMismatchError("1tt mode takes a single table")
-    tables.ensure_verified()
-
-
-# tables: a TranslationTable, or a TtSet4 in 4tt mode.
+# tables: a TranslationTable, a TtSet4 exactly when the mode is 4tt.
 CompressJob = namedtuple(
     "CompressJob", "data tables mode fmt", defaults=(MODE_1TT, FORMAT_PAPER)
 )
@@ -60,8 +49,11 @@ def compress(job: CompressJob) -> CompressResult:
         raise ValueError(f"unknown mode {job.mode!r}")
     if job.fmt not in FORMATS:
         raise ValueError(f"unknown format {job.fmt!r}")
-    _check_tables(job.tables, job.mode)
-    layout = _primary_table(job.tables).layout
+    if isinstance(job.tables, TtSet4) != (job.mode == MODE_4TT):
+        wants = "a 4-table set" if job.mode == MODE_4TT else "a single table"
+        raise ModeMismatchError(f"{job.mode} mode takes {wants}")
+    job.tables.ensure_verified()
+    layout = job.tables.layout
 
     start = time.perf_counter()
     rows, tail = encode_rows(job.data, layout)
@@ -105,14 +97,13 @@ def decompress(job: DecompressJob) -> bytes:
             raise ModeMismatchError(
                 f"artifact mode {parsed.mode} does not match requested {job.mode}"
             )
-        _check_tables(job.tables, parsed.mode)
     else:
         parsed = gridfile.parse_honest(io.BytesIO(job.artifact))
-        job.tables.ensure_verified()
 
-    table = _primary_table(job.tables)
-    inverse = addressing.inverse_of_table(table.originals, table.layout)
-    out = addressing.decode_stream(parsed.stream, table.layout, inverse)
+    tt = job.tables
+    tt.ensure_verified()
+    inverse = addressing.inverse_of_table(tt.originals, tt.layout)
+    out = addressing.decode_stream(parsed.stream, tt.layout, inverse)
     if parsed.tail is not None:
         out += bytes((parsed.tail,))
     return out

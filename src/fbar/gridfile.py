@@ -85,15 +85,11 @@ class GridArtifact(namedtuple(
 )):
     """Writer summary: what went into each channel of one artifact.
 
-    occupant_len counts the occupant chars and the separators.
+    occupant_len counts the occupant chars and the separators: the
+    nominal, paper-accounted size.
     """
 
     __slots__ = ()
-
-    @property
-    def paper_accounted_size(self):
-        """Nominal size: the occupant stream alone."""
-        return self.occupant_len
 
     @property
     def honest_payload_size(self):
@@ -191,10 +187,13 @@ def _render(block_units, stream, mode):
 
 
 def write_grid(rows, mode, sink, tail=None):
-    """Write a paper-style artifact; returns a GridArtifact summary."""
+    """Write a paper-style artifact; returns a GridArtifact summary.
+
+    ``rows`` is a sized sequence of row numbers, such as a list or the
+    codec's array('H').
+    """
     if mode not in _MODE_BYTES:
         raise ValueError(f"unknown mode {mode!r}")
-    rows = list(rows)
     address = addressing.row_stream(rows)
     tail_bytes = _tail_bytes(tail)
 

@@ -93,17 +93,6 @@ def manipulation_distance(n_compressed_units, decompressed=False):
     return 0 if decompressed else 8 * n_compressed_units
 
 
-def channel_tally(n_bytes):
-    """Bits each channel carries for an n-byte input."""
-    pairs = n_bytes // 2
-    return {
-        "occupant": 8 * pairs,
-        "address": 16 * pairs,
-        "tail": 16 if n_bytes % 2 else 0,
-        "grid_region": 8 * gridfile.GRID_REGION_BYTES,
-    }
-
-
 class MetricsReport:
     def __init__(
         self, input_size, mode, fmt, paper_size_1tt, paper_size_4tt, paper_accounted,

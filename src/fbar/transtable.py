@@ -79,7 +79,7 @@ class TranslationTable:
         )
 
     def __repr__(self):
-        return f"TranslationTable(rows={self.row_count}, layout={self.layout!r})"
+        return f"{type(self).__name__}(rows={self.row_count}, layout={self.layout!r})"
 
     def ensure_verified(self):
         """Verify once and cache; raises TtError on any violation."""
@@ -237,27 +237,26 @@ def load_binary(source, layout="interleaved"):
     return TranslationTable(bytes(originals), layout)
 
 
-class TtSet4:
-    """Four tables for 4-TT mode; all carry the identical canonical mapping."""
+class TtSet4(TranslationTable):
+    """The 4-TT mode's table: four copies of one table, coded as that table.
+
+    The four tables must be equal; the set holds their one mapping and
+    keeps the first table's verification, so a verified table is not
+    verified again.
+    """
 
     def __init__(self, tables):
         tables = tuple(tables)
         if len(tables) != 4:
             raise TtError(f"need exactly 4 tables, got {len(tables)}")
-        layouts = {t.layout for t in tables}
-        if len(layouts) != 1:
-            raise TtError(f"mixed layouts in table set: {sorted(layouts)}")
+        first = tables[0]
+        if not all(t == first for t in tables[1:]):
+            raise TtError("the 4 tables of a set must be identical")
+        super().__init__(first.originals, first.layout)
+        self._verified_ok = first._verified_ok
         self.tables = tables
-        self.layout = tables[0].layout
 
     @classmethod
     def canonical(cls, layout="interleaved"):
         tt = generate_tt(layout)
         return cls((tt, tt, tt, tt))
-
-    def verify_all(self):
-        return [verify_tt(t) for t in self.tables]
-
-    def ensure_verified(self):
-        for t in self.tables:
-            t.ensure_verified()

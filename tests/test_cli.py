@@ -132,6 +132,29 @@ def test_decompress_mode_mismatch(tmp_path, tt_file, no_tt_env):
     ) == EXIT_MODE_MISMATCH
 
 
+@pytest.mark.parametrize("fmt", ["paper", "honest"])
+def test_decompress_4tt_reads_mode_from_artifact(tmp_path, tt_file, fmt, no_tt_env):
+    source = tmp_path / "four.bin"
+    payload = b"eight-byte chunks, one table" * 5 + b"!"
+    source.write_bytes(payload)
+    artifact = tmp_path / "four.fbar"
+    assert main(
+        [
+            "compress", str(source), "--out", str(artifact), "--tt", tt_file,
+            "--mode", "4tt", "--format", fmt,
+        ]
+    ) == EXIT_OK
+    restored = tmp_path / "restored.bin"
+    assert main(
+        ["decompress", str(artifact), "--out", str(restored), "--tt", tt_file]
+    ) == EXIT_OK
+    assert restored.read_bytes() == payload
+    if fmt == "paper":
+        assert main(
+            ["decompress", str(artifact), "--tt", tt_file, "--mode", "1tt"]
+        ) == EXIT_MODE_MISMATCH
+
+
 def test_audit_ok(tt_file, capsys, no_tt_env):
     assert main(["audit", "--tt", tt_file]) == EXIT_OK
     out = capsys.readouterr().out

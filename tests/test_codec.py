@@ -155,6 +155,13 @@ def test_decompress_requested_mode_mismatch(tt):
         decompress(DecompressJob(artifact=artifact, tables=tt, mode=MODE_4TT))
 
 
+def test_any_table_decodes_any_paper_artifact(tt, set4):
+    data = b"one mapping, four copies!"
+    for tables, mode, other in ((set4, MODE_4TT, tt), (tt, MODE_1TT, set4)):
+        artifact = compress(CompressJob(data=data, tables=tables, mode=mode)).artifact
+        assert decompress(DecompressJob(artifact=artifact, tables=other)) == data
+
+
 def test_decompress_rejects_unknown_magic(tt):
     with pytest.raises(gridfile.GridFormatError):
         decompress(DecompressJob(artifact=b"JUNKJUNKJUNK", tables=tt))

@@ -112,7 +112,7 @@ def test_resolved_stream_and_region():
         assert region[row] == char
     zeroed = sum(1 for b in region if b == 0)
     assert zeroed == GRID_REGION_BYTES - 4
-    assert summary.paper_accounted_size == 4
+    assert summary.occupant_len == 4
     assert summary.honest_payload_size == 8
     assert summary.block_count == 1
 
@@ -149,7 +149,7 @@ def test_separator_codes_cycle_past_31():
 def test_empty_input():
     data, summary = grid_bytes([])
     assert occupant_stream(data) == b""
-    assert summary.paper_accounted_size == 0
+    assert summary.occupant_len == 0
     assert summary.honest_payload_size == 0
     assert set(data[14 : 14 + GRID_REGION_BYTES]) == {0}
     parsed = parse_grid(io.BytesIO(data))
@@ -188,7 +188,7 @@ def test_paper_accounting_no_collisions():
     # distinct rows: chars plus one separator per complete 95-unit block
     for units in (1, 40, 94, 95, 96, 190, 250):
         data, summary = grid_bytes(list(range(units)))
-        assert summary.paper_accounted_size == units + units // BLOCK_UNITS
+        assert summary.occupant_len == units + units // BLOCK_UNITS
 
 
 def test_honest_payload_counts_everything():

@@ -64,6 +64,11 @@ def test_kernel_accepts_any_buffer(layout):
         assert decode_stream(buf, layout) == data[:-1]
 
 
+def test_grouped_rejects_odd_row_stream():
+    with pytest.raises(ValueError):
+        decode_stream(b"\x00\x01\x02", "grouped")
+
+
 def test_row_stream_is_big_endian():
     assert addressing.row_stream([0x0102, 0xFFFE]) == b"\x01\x02\xff\xfe"
     assert row_array(b"\x01\x02\xff\xfe").tolist() == [0x0102, 0xFFFE]

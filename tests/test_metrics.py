@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from fbar import gridfile, metrics, transtable
+from fbar import metrics, transtable
 from fbar.metrics import (
     AuditReport,
-    channel_tally,
     empirical_entropy,
     fbar_H,
     manipulation_distance,
@@ -142,18 +141,6 @@ def test_manipulation_distance():
     assert manipulation_distance(0) == 0
     with pytest.raises(ValueError):
         manipulation_distance(-1)
-
-
-def test_channel_tally():
-    even = channel_tally(1000)
-    assert even["occupant"] == 8 * 500
-    assert even["address"] == 16 * 500
-    assert even["tail"] == 0
-    odd = channel_tally(7)
-    assert odd["occupant"] == 8 * 3
-    assert odd["address"] == 16 * 3
-    assert odd["tail"] == 16
-    assert odd["grid_region"] == 8 * gridfile.GRID_REGION_BYTES
 
 
 def test_audit_canonical(tt):

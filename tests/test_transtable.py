@@ -235,9 +235,34 @@ def test_ensure_verified_caches_and_raises(tt):
 
 def test_ttset4_canonical(set4):
     assert len(set4.tables) == 4
-    assert all(report.ok for report in set4.verify_all())
+    assert verify_tt(set4).ok
+    assert set4 == set4.tables[0]
     with pytest.raises(TtError):
         TtSet4(set4.tables[:3])
+
+
+def test_ttset4_rejects_unequal_tables(tt, tt_grouped):
+    changed = bytearray(tt.originals)
+    changed[0] ^= 0x01
+    odd_one = TranslationTable(bytes(changed))
+    with pytest.raises(TtError):
+        TtSet4((tt, tt, tt, odd_one))
+    with pytest.raises(TtError):
+        TtSet4((tt, tt, tt, tt_grouped))
+
+
+def test_ttset4_keeps_verification(monkeypatch):
+    tt = generate_tt()
+    tt.ensure_verified()
+    calls = []
+
+    def counting_verify(table):
+        calls.append(table)
+        return verify_tt(table)
+
+    monkeypatch.setattr(transtable, "verify_tt", counting_verify)
+    TtSet4((tt, tt, tt, tt)).ensure_verified()
+    assert calls == []
 
 
 def test_grouped_layout_table_verifies(tt_grouped):
