@@ -14,7 +14,6 @@ import argparse
 import os
 import sys
 import time
-from collections import Counter
 
 from . import codec, gridfile, metrics, transtable
 from .codec import CompressJob, DecompressJob, ModeMismatchError
@@ -283,10 +282,7 @@ def cmd_entropy(args):
             print(f"{path}: unreadable ({exc})")
             status = EXIT_UNREADABLE
             continue
-        counts = Counter(data)
-        distinct = len(counts)
-        h = metrics.empirical_entropy(counts)
-        h0 = metrics.shannon_order0(distinct) if distinct else 0.0
+        distinct, h0, h = metrics.order0(data)
         print(
             f"{path}: {len(data)} bytes, {distinct} symbols, "
             f"empirical H {h:.4f} bits/byte, log2(m) {h0:.4f} bpc"
@@ -294,12 +290,43 @@ def cmd_entropy(args):
     return status
 
 
+def _terminal_width():
+    """Terminal columns, found as shutil.get_terminal_size finds them."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return columns or 80
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help formatter, given its width.
+
+    Left to find the width itself, argparse imports shutil (and with it
+    zlib, bz2, lzma and fnmatch) in every process that builds a parser.
+    """
+
+    def __init__(self, prog, **kwargs):
+        if kwargs.get("width") is None:
+            kwargs["width"] = _terminal_width() - 2  # argparse's own margin
+        super().__init__(prog, **kwargs)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fbar",
         description="Fixed-codebook bit-pair codec with honest accounting.",
+        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_command(name, summary):
+        return sub.add_parser(name, help=summary, formatter_class=_HelpFormatter)
 
     def add_common(p, tt=True):
         if tt:
@@ -313,14 +340,14 @@ def build_parser():
             help="report rendering",
         )
 
-    p = sub.add_parser("gen-tt", help="generate translation table file(s)")
+    p = add_command("gen-tt", "generate translation table file(s)")
     p.add_argument("--out", help=f"output directory (default ${TT_DIR_ENV} or .)")
     p.add_argument("--format", choices=("text", "binary"), default="binary")
     p.add_argument("--count", type=int, choices=(1, 4), default=1)
     add_common(p, tt=False)
     p.set_defaults(func=cmd_gen_tt)
 
-    p = sub.add_parser("compress", help="compress a file")
+    p = add_command("compress", "compress a file")
     p.add_argument("input")
     p.add_argument("--out", help="artifact path (default INPUT.fbar)")
     p.add_argument("--mode", choices=(MODE_1TT, MODE_4TT), default=MODE_1TT)
@@ -328,7 +355,7 @@ def build_parser():
     add_common(p)
     p.set_defaults(func=cmd_compress)
 
-    p = sub.add_parser("decompress", help="decompress an artifact")
+    p = add_command("decompress", "decompress an artifact")
     p.add_argument("input")
     p.add_argument("--out", help="output path (default strips .fbar)")
     p.add_argument(
@@ -338,17 +365,17 @@ def build_parser():
     add_common(p)
     p.set_defaults(func=cmd_decompress)
 
-    p = sub.add_parser("audit", help="audit a translation table")
+    p = add_command("audit", "audit a translation table")
     add_common(p)
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("bench", help="measure the codec over a corpus")
+    p = add_command("bench", "measure the codec over a corpus")
     p.add_argument("files", nargs="+")
     p.add_argument("--mode", choices=(MODE_1TT, MODE_4TT), default=MODE_1TT)
     add_common(p)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("entropy", help="order-0 entropy of files")
+    p = add_command("entropy", "order-0 entropy of files")
     p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_entropy)
 

@@ -78,7 +78,8 @@ def compress(job: CompressJob) -> CompressResult:
         honest_size=honest_size,
         artifact_size=len(artifact),
     )
-    # The report covers the whole call, its own building included.
+    # The report covers the whole call, its own building included.  The
+    # input's order-0 entropies are computed when first read, outside it.
     report.elapsed = time.perf_counter() - start
     report.throughput = report.input_size / report.elapsed if report.elapsed > 0 else 0.0
     return CompressResult(artifact=artifact, summary=summary, report=report)

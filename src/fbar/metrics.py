@@ -48,14 +48,26 @@ def empirical_entropy(data):
     """Order-0 entropy of a byte sequence from its empirical frequencies.
 
     ``data`` may also be the sequence's histogram (a Counter), which is
-    then copied rather than counted again.
+    then used as it is rather than counted again.
     """
-    counts = Counter(data)
+    counts = data if isinstance(data, Counter) else Counter(data)
     total = sum(counts.values())
     if not total:
         return 0.0
     h = -sum(c / total * math.log2(c / total) for c in counts.values())
     return h if h > 0.0 else 0.0
+
+
+def order0(data):
+    """Order-0 statistics of a byte sequence from one histogram.
+
+    Returns (distinct symbols, log2 of that alphabet, empirical entropy);
+    both entropies are in bits and 0.0 for empty input.
+    """
+    counts = Counter(data)
+    distinct = len(counts)
+    h0 = shannon_order0(distinct) if distinct else 0.0
+    return distinct, h0, empirical_entropy(counts)
 
 
 def fbar_H(ratio):
@@ -94,10 +106,18 @@ def manipulation_distance(n_compressed_units, decompressed=False):
 
 
 class MetricsReport:
+    """One compression run's sizes, ratios and timing.
+
+    ``data`` is the input, held until the order-0 entropies
+    (``shannon_H0``, ``empirical_H``) are first read: they describe the
+    input rather than the compression, so the byte histogram is built
+    then, once, and ``elapsed`` never includes it.
+    """
+
     def __init__(
         self, input_size, mode, fmt, paper_size_1tt, paper_size_4tt, paper_accounted,
-        honest_size, artifact_size, space_savings_paper, fbar_H, shannon_H0,
-        empirical_H, manipulation_total, elapsed, throughput,
+        honest_size, artifact_size, space_savings_paper, fbar_H, data,
+        manipulation_total, elapsed, throughput,
     ):
         self.input_size = input_size
         self.mode = mode
@@ -110,11 +130,30 @@ class MetricsReport:
         self.artifact_size = artifact_size
         self.space_savings_paper = space_savings_paper
         self.fbar_H = fbar_H
-        self.shannon_H0 = shannon_H0
-        self.empirical_H = empirical_H
+        # an immutable snapshot: a caller's later writes to a bytearray
+        # must not reach the entropies
+        self._data = data if isinstance(data, bytes) else bytes(data)
+        self._order0 = None
         self.manipulation_total = manipulation_total
         self.elapsed = elapsed
         self.throughput = throughput
+
+    def _entropies(self):
+        if self._order0 is None:
+            _, h0, h = order0(self._data)
+            self._order0 = (h0, h)
+            self._data = None
+        return self._order0
+
+    @property
+    def shannon_H0(self):
+        """log2 of the input's distinct byte count, bits per symbol."""
+        return self._entropies()[0]
+
+    @property
+    def empirical_H(self):
+        """Order-0 entropy of the input's byte frequencies, bits per byte."""
+        return self._entropies()[1]
 
     def as_kv(self):
         pairs = [
@@ -146,14 +185,16 @@ class MetricsReport:
 
 
 def build_report(data, mode, fmt, elapsed, paper_accounted, honest_size, artifact_size):
-    """Assemble the standard report for one compression run."""
+    """Assemble the standard report for one compression run.
+
+    The input is not counted here: the report computes its entropies on
+    first read.
+    """
     n = len(data)
     pairs = -(-n // 2)
     # Savings from the real occupant stream when one was written,
     # otherwise from the nominal estimator.
     size_mode = paper_accounted if paper_accounted is not None else paper_size(n, mode)
-    counts = Counter(data)
-    distinct = len(counts)
     return MetricsReport(
         input_size=n,
         mode=mode,
@@ -165,8 +206,7 @@ def build_report(data, mode, fmt, elapsed, paper_accounted, honest_size, artifac
         artifact_size=artifact_size,
         space_savings_paper=1.0 - size_mode / n if n else 0.0,
         fbar_H=MODE_RATIO_H[mode],
-        shannon_H0=shannon_order0(distinct) if distinct else 0.0,
-        empirical_H=empirical_entropy(counts),
+        data=data,
         manipulation_total=manipulation_distance(pairs),
         elapsed=elapsed,
         throughput=n / elapsed if elapsed > 0 else 0.0,

@@ -1,3 +1,4 @@
+import argparse
 import os
 
 import pytest
@@ -250,3 +251,26 @@ def test_kv_report(tmp_path, tt_file, capsys, no_tt_env):
     out = capsys.readouterr().out
     assert "paper_size_1tt=" in out
     assert "space_savings_paper=" in out
+
+
+COMMANDS = ("gen-tt", "compress", "decompress", "audit", "bench", "entropy")
+
+
+def _help_texts(capsys):
+    texts = []
+    for argv in [["--help"]] + [[command, "--help"] for command in COMMANDS]:
+        assert main(argv) == EXIT_OK
+        texts.append(capsys.readouterr().out)
+    return texts
+
+
+def test_help_matches_stock_formatter(monkeypatch, capsys):
+    by_width = {}
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        ours = _help_texts(capsys)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+            assert _help_texts(capsys) == ours
+        by_width[columns] = ours
+    assert by_width["60"] != by_width["120"]

@@ -195,13 +195,33 @@ def test_report_fields_complete(tt):
 
 
 def test_report_elapsed_covers_report_building(tt, monkeypatch):
+    # The timed region is the whole encode, write and report building ...
+    write_honest = gridfile.write_honest
+
+    def slow_write(*args):
+        time.sleep(0.05)
+        return write_honest(*args)
+
+    monkeypatch.setattr(gridfile, "write_honest", slow_write)
+    report = compress(CompressJob(data=b"resolved", tables=tt, fmt=FORMAT_HONEST)).report
+    assert report.elapsed >= 0.05
+    assert report.throughput == pytest.approx(8 / report.elapsed)
+
+    # ... but not the input's entropy, which is computed on first read.
+    monkeypatch.setattr(gridfile, "write_honest", write_honest)
     entropy = metrics.empirical_entropy
+    entropy_calls = []
 
     def slow_entropy(data):
+        entropy_calls.append(data)
         time.sleep(0.05)
         return entropy(data)
 
     monkeypatch.setattr(metrics, "empirical_entropy", slow_entropy)
     report = compress(CompressJob(data=b"resolved", tables=tt, fmt=FORMAT_HONEST)).report
-    assert report.elapsed >= 0.05
-    assert report.throughput == pytest.approx(8 / report.elapsed)
+    elapsed, throughput = report.elapsed, report.throughput
+    assert elapsed < 0.05
+    assert entropy_calls == []
+    assert report.empirical_H == entropy(b"resolved")
+    assert len(entropy_calls) == 1
+    assert (report.elapsed, report.throughput) == (elapsed, throughput)

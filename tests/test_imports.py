@@ -26,3 +26,18 @@ def test_cli_import_graph_stays_light():
     loaded = set(out.split())
     assert "fbar.cli" in loaded
     assert NOT_IMPORTED & loaded == set()
+
+
+def test_cli_run_leaves_shutil_out(tmp_path):
+    # argparse's help formatter imports shutil (with zlib, bz2, lzma and
+    # fnmatch) unless it is given a width.
+    missing = str(tmp_path / "missing.fbar")
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); import fbar.cli; "
+        f"assert fbar.cli.main(['decompress', {missing!r}]) == fbar.cli.EXIT_UNREADABLE; "
+        "print(chr(10).join(sorted(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert "shutil" not in set(out.split())
