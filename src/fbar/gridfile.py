@@ -335,7 +335,7 @@ def _occupant_mismatch(got, want, base_offset):
     return GridFormatError(what, offset=base_offset + i, block=block)
 
 
-def parse_grid(source, mode=None):
+def parse_grid(source):
     """Parse a paper-style artifact; exact inverse of write_grid.
 
     Renders the occupant stream and the region again and byte-compares
@@ -348,10 +348,6 @@ def parse_grid(source, mode=None):
     parsed_mode = _MODE_NAMES.get(mode_byte)
     if parsed_mode is None:
         raise GridFormatError(f"unknown mode byte {mode_byte}", offset=5)
-    if mode is not None and parsed_mode != mode:
-        raise GridFormatError(
-            f"artifact mode {parsed_mode} does not match requested {mode}", offset=5
-        )
     pair_count = int.from_bytes(reader.take(8, "pair count"), "big")
 
     region = reader.take(GRID_REGION_BYTES, "grid region")

@@ -14,7 +14,7 @@ import io
 import math
 from collections import Counter
 
-from . import addressing, gridfile
+from . import addressing, gridfile, transtable
 
 # Nominal block amortization: one separator byte per 96 pairs.  The
 # artifact writer closes blocks at 95 units (the occupant alphabet has
@@ -23,6 +23,9 @@ from . import addressing, gridfile
 ACCOUNTED_BLOCK_PAIRS = 96
 
 MODE_RATIO_H = {gridfile.MODE_1TT: 2, gridfile.MODE_4TT: 0}  # 8:4 and 8:1
+
+# Violations a pigeonhole audit names at most.
+AUDIT_MAX_VIOLATIONS = 16
 
 
 def paper_size(n_bytes, mode):
@@ -235,57 +238,26 @@ def _occupant_only(rows):
     return gridfile.occupant_stream(buf.getvalue())
 
 
-def _walk_pairs(tt, max_violations):
-    """Walk every pair through the addressing chain and name the violations.
-
-    Returns (violations, distinct rows reached).
-    """
-    row_lookup = addressing.row_table(tt.layout)
-    seen = bytearray(addressing.ROWS)
-    originals = tt.originals
-    short = tt.row_count < addressing.ROWS
-    violations = []
-    distinct = 0
-    for key in range(65536):
-        row = row_lookup[key]
-        if seen[row]:
-            violations.append((row, f"row {row} reached by more than one pair"))
-        else:
-            seen[row] = 1
-            distinct += 1
-        got = originals[2 * row : 2 * row + 2] if not short or row < tt.row_count else b""
-        if got != bytes((key >> 8, key & 0xFF)):
-            violations.append(
-                (row, f"row {row} decodes to {got.hex() or '??'}, "
-                      f"pair {key >> 8:02x}{key & 0xFF:02x} produced it")
-            )
-            if len(violations) >= max_violations:
-                break
-    return violations, distinct
-
-
-def pigeonhole_audit(tt, max_violations=16):
+def pigeonhole_audit(tt):
     """Exhaustively audit a table against an independent enumeration.
 
     Two whole-buffer comparisons cover all 65,536 two-byte inputs.  The
     first, which never reads the table under test, runs every input
     through the addressing chain and back: a map on 65,536 keys with a
     left inverse is injective, so the rows are distinct and the chain is
-    a bijection.  The second compares the table's records with that
-    inverse, so every record returns the pair that produced its row.
-    Only when a comparison fails are the pairs walked one by one, to
-    name up to ``max_violations`` violations.  A concrete witness shows
-    that the occupant-only channel cannot distinguish distinct inputs.
+    a bijection.  The second, ``transtable.verify_tt``, compares the
+    table's records with that inverse, so every record returns the pair
+    that produced its row; the audit keeps its first
+    ``AUDIT_MAX_VIOLATIONS`` violations.  A concrete witness shows that
+    the occupant-only channel cannot distinguish distinct inputs.
     """
     layout = tt.layout
     all_rows = addressing.ALL_ROWS
     chain_ok = addressing.decode_stream(
         addressing.encode_stream(all_rows, layout), layout
     ) == all_rows
-    if chain_ok and tt.originals == addressing.pair_table(layout):
-        violations, distinct = [], addressing.ROWS
-    else:
-        violations, distinct = _walk_pairs(tt, max_violations)
+    distinct = addressing.ROWS if chain_ok else len(set(addressing.row_table(layout)))
+    violations = transtable.verify_tt(tt).violations[:AUDIT_MAX_VIOLATIONS]
 
     witness_a, witness_b = b"aa", b"bb"
     stream_a = _occupant_only([addressing.row_of_pair(*witness_a, layout)])
@@ -293,7 +265,7 @@ def pigeonhole_audit(tt, max_violations=16):
     witness = (witness_a, witness_b, stream_a) if stream_a == stream_b else None
 
     return AuditReport(
-        bijection_ok=not violations and distinct == addressing.ROWS,
+        bijection_ok=chain_ok and not violations,
         distinct_rows=distinct,
         violations=violations,
         collision_witness=witness,

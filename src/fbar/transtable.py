@@ -1,9 +1,10 @@
 """Translation table (TT): the static 65,536-row dictionary.
 
-Row r stores the 2-byte pair whose flag address linearizes to r.  Two
-serializations are provided: a fixed-width text form of exactly
-65,536 x 128 bytes = 8 MiB, and a compact binary form with a magic
-header.  Tables are immutable after construction and safe to share.
+A table is exactly 65,536 records; row r stores the 2-byte pair whose
+flag address linearizes to r.  Two serializations are provided: a
+fixed-width text form of exactly 65,536 x 128 bytes = 8 MiB, and a
+compact binary form with a magic header and its records in row order.
+Tables are immutable after construction and safe to share.
 """
 
 import itertools
@@ -49,11 +50,13 @@ class TtFormatError(TtError):
 
 
 class TranslationTable:
-    """Immutable row -> original-pair dictionary."""
+    """Immutable row -> original-pair dictionary of exactly 65,536 rows."""
+
+    row_count = TT_ROWS
 
     def __init__(self, originals, layout="interleaved"):
-        if len(originals) % 2:
-            raise TtError("originals buffer must hold whole 2-byte records")
+        if len(originals) != 2 * TT_ROWS:
+            raise TtError(f"originals buffer of {len(originals)} bytes, expected {2 * TT_ROWS}")
         self._originals = bytes(originals)
         self.layout = layout
         self._verified_ok = False
@@ -62,12 +65,8 @@ class TranslationTable:
     def originals(self):
         return self._originals
 
-    @property
-    def row_count(self):
-        return len(self._originals) // 2
-
     def original_at(self, row):
-        if not 0 <= row < self.row_count:
+        if not 0 <= row < TT_ROWS:
             raise TtError(f"row out of range: {row}")
         return self._originals[2 * row : 2 * row + 2]
 
@@ -98,7 +97,7 @@ def generate_tt(layout="interleaved"):
 class TtVerifyReport:
     def __init__(self, row_count, violations=None):
         self.row_count = row_count
-        # (row or None, message); each report gets its own list
+        # (row, message); each report gets its own list
         self.violations = [] if violations is None else violations
 
     @property
@@ -107,31 +106,24 @@ class TtVerifyReport:
 
 
 def verify_tt(tt):
-    """Check row count, per-row address consistency and bijectivity.
+    """Name each row whose record differs from ``addressing.pair_table``.
 
-    A canonical table passes with one comparison; only a table that
-    differs is walked row by row to name its violations.
+    A canonical table passes with one whole-buffer comparison; only a
+    table that differs is walked, in row order.  A pair stored twice
+    always sits at a row where it does not belong, so it is named too.
     """
-    report = TtVerifyReport(row_count=tt.row_count)
+    report = TtVerifyReport(row_count=TT_ROWS)
     expected = addressing.pair_table(tt.layout)
     originals = tt.originals
     if originals == expected:
         return report
-    if tt.row_count != TT_ROWS:
-        report.violations.append(
-            (None, f"row count {tt.row_count}, expected {TT_ROWS}")
-        )
-    seen = set()
-    for row in range(tt.row_count):
+    for row in range(TT_ROWS):
         got = originals[2 * row : 2 * row + 2]
-        want = expected[2 * row : 2 * row + 2] if row < TT_ROWS else None
+        want = expected[2 * row : 2 * row + 2]
         if got != want:
             report.violations.append(
-                (row, f"row {row} holds {got.hex()}, expected {want.hex() if want else '??'}")
+                (row, f"row {row} holds {got.hex()}, expected {want.hex()}")
             )
-        if got in seen:
-            report.violations.append((row, f"row {row} duplicates original {got.hex()}"))
-        seen.add(got)
     return report
 
 
@@ -166,8 +158,6 @@ def serialize_text(tt, sink):
     in row order (l fastest), and from a per-byte escape table, and are
     written 1,024 lines per ``sink.write``.
     """
-    if tt.row_count > TT_ROWS:
-        raise ValueError(f"row out of range 0..65535: {TT_ROWS}")
     addresses = map("x".join, itertools.product(_NIBBLES, repeat=4))
     originals = tt.originals
     lines = map(_text_line, itertools.count(1), addresses, originals[0::2], originals[1::2])
@@ -182,11 +172,10 @@ def serialize_text(tt, sink):
 
 def serialize_binary(tt, sink):
     """Write the compact binary form; returns the byte count."""
-    row_numbers = addressing.ALL_ROWS[: 2 * tt.row_count]
-    buf = bytearray(5 + _RECORD_BYTES * tt.row_count)
+    buf = bytearray(5 + _RECORD_BYTES * TT_ROWS)
     buf[:5] = BINARY_MAGIC + bytes((BINARY_VERSION,))
-    buf[5::4] = row_numbers[0::2]
-    buf[6::4] = row_numbers[1::2]
+    buf[5::4] = addressing.ALL_ROWS[0::2]
+    buf[6::4] = addressing.ALL_ROWS[1::2]
     buf[7::4] = tt.originals[0::2]
     buf[8::4] = tt.originals[1::2]
     try:
@@ -199,11 +188,10 @@ def serialize_binary(tt, sink):
 def load_binary(source, layout="interleaved"):
     """Exact inverse of serialize_binary.
 
-    Addresses are recomputed from row numbers, never stored.  Raises
-    TtFormatError naming the offending offset on bad magic, truncation
-    or duplicate/missing rows.  Records in row order, as serialize_binary
-    writes them, are sliced out whole; any other order is placed record
-    by record.
+    Addresses are recomputed from row numbers, never stored.  The 65,536
+    records must be in row order and are sliced out whole.  Raises
+    TtFormatError naming the offending offset on bad magic, truncation,
+    a wrong record count, or the first record out of row order.
     """
     data = source.read()
     if data[:4] != BINARY_MAGIC:
@@ -220,21 +208,17 @@ def load_binary(source, layout="interleaved"):
     count = body // _RECORD_BYTES
     if count != TT_ROWS:
         raise TtFormatError(f"row count {count}, expected {TT_ROWS}", offset=len(data))
-    originals = bytearray(2 * TT_ROWS)
     rows = addressing.ALL_ROWS
-    if data[5::4] == rows[0::2] and data[6::4] == rows[1::2]:
-        originals[0::2] = data[7::4]
-        originals[1::2] = data[8::4]
-        return TranslationTable(bytes(originals), layout)
-    seen = bytearray(TT_ROWS)
-    for n in range(count):
-        off = 5 + n * _RECORD_BYTES
-        row = int.from_bytes(data[off : off + 2], "big")
-        if seen[row]:
-            raise TtFormatError(f"duplicate row {row}", offset=off)
-        seen[row] = 1
-        originals[2 * row : 2 * row + 2] = data[off + 2 : off + 4]
-    return TranslationTable(bytes(originals), layout)
+    if data[5::4] != rows[0::2] or data[6::4] != rows[1::2]:
+        for n in range(TT_ROWS):
+            off = 5 + n * _RECORD_BYTES
+            row = int.from_bytes(data[off : off + 2], "big")
+            if row != n:
+                raise TtFormatError(f"record {n} holds row {row}, expected row {n}", offset=off)
+    originals = bytearray(2 * TT_ROWS)
+    originals[0::2] = data[7::4]
+    originals[1::2] = data[8::4]
+    return TranslationTable(originals, layout)
 
 
 class TtSet4(TranslationTable):

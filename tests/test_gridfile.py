@@ -250,12 +250,6 @@ def test_parse_rejects_bad_magic():
     assert err.value.offset == 0
 
 
-def test_parse_rejects_wrong_mode():
-    data, _ = grid_bytes([1, 2, 3])
-    with pytest.raises(GridFormatError):
-        parse_grid(io.BytesIO(data), mode=MODE_4TT)
-
-
 def test_deleted_occupant_char_is_an_ordinal_gap():
     data, _ = grid_bytes(list(range(10)))
     stream_at = 14 + GRID_REGION_BYTES + 8

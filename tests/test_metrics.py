@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from fbar import metrics, transtable
+from fbar import addressing, metrics, transtable
 from fbar.metrics import (
     AuditReport,
     empirical_entropy,
@@ -163,15 +163,6 @@ def test_audit_catches_single_record_flip(tt):
     assert report.first_bad_row() == row
 
 
-def test_audit_catches_short_table(tt):
-    report = pigeonhole_audit(transtable.TranslationTable(tt.originals[:-2]))
-    assert not report.bijection_ok
-    assert report.distinct_rows == 65536
-    [(row, message)] = report.violations
-    assert row == 65535
-    assert "decodes to ??" in message
-
-
 def test_audit_canonical_grouped(tt_grouped):
     report = pigeonhole_audit(tt_grouped)
     assert report.bijection_ok
@@ -208,6 +199,45 @@ def test_audit_names_both_swapped_records(tt):
     assert not report.bijection_ok
     assert len(report.violations) == 2
     assert {row for row, _ in report.violations} == {a, b}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    flips=st.lists(
+        st.tuples(st.integers(0, 2 * 65536 - 1), st.integers(1, 255)),
+        min_size=1, max_size=3,
+    ),
+    layout=st.sampled_from(["interleaved", "grouped"]),
+)
+def test_verify_and_audit_name_the_changed_rows(tt, tt_grouped, flips, layout):
+    canonical = {"interleaved": tt, "grouped": tt_grouped}[layout].originals
+    buf = bytearray(canonical)
+    for index, mask in flips:
+        buf[index] ^= mask
+    table = transtable.TranslationTable(bytes(buf), layout)
+    changed = [
+        row for row in range(65536)
+        if buf[2 * row : 2 * row + 2] != canonical[2 * row : 2 * row + 2]
+    ]
+    verified = [row for row, _ in transtable.verify_tt(table).violations]
+    audited = [row for row, _ in pigeonhole_audit(table).violations]
+    # at most 3 rows change, fewer than the audit's cap of 16
+    assert verified == audited == changed
+
+
+def test_audit_reports_a_broken_chain(tt, monkeypatch):
+    encode_stream = addressing.encode_stream
+
+    def second_pair_takes_first_row(data, layout="interleaved"):
+        stream = bytearray(encode_stream(data, layout))
+        stream[2:4] = stream[0:2]
+        return bytes(stream)
+
+    monkeypatch.setattr(addressing, "encode_stream", second_pair_takes_first_row)
+    report = pigeonhole_audit(tt)
+    assert not report.bijection_ok
+    assert report.distinct_rows == 65535
+    assert report.violations == []
 
 
 def test_build_report_fields():

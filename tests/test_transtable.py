@@ -1,7 +1,8 @@
-import hashlib
 import io
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from fbar import addressing, transtable
 from fbar.transtable import (
@@ -73,11 +74,11 @@ def test_verify_reports_never_share_violations():
     assert b.violations == [] and b.ok
 
 
-def test_verify_missing_row_count_violation(tt):
-    short = TranslationTable(tt.originals[:-2])
-    report = verify_tt(short)
-    assert not report.ok
-    assert any(row is None and "count" in msg for row, msg in report.violations)
+@pytest.mark.parametrize("size", [0, 2 * TT_ROWS - 2, 2 * TT_ROWS - 1, 2 * TT_ROWS + 2])
+def test_table_of_other_size_refused(tt, size):
+    originals = (tt.originals * 2)[:size]
+    with pytest.raises(TtError, match=f"buffer of {size} bytes"):
+        TranslationTable(originals)
 
 
 def test_verify_corrupt_record_names_row(tt):
@@ -120,23 +121,6 @@ def test_text_row_escapes_nonprintables(tt):
     line = text_row(tt, row).decode("ascii")
     assert "%00%00" in line
     assert len(line) == TEXT_ROW_BYTES
-
-
-def test_text_short_table_writes_only_its_rows(tt):
-    sink = io.BytesIO()
-    written = serialize_text(TranslationTable(tt.originals[:6]), sink)
-    data = sink.getvalue()
-    assert written == len(data) == 3 * TEXT_ROW_BYTES
-    # recorded from the per-row formatter
-    assert hashlib.sha256(data).hexdigest() == (
-        "68015e4ec47c5e8ab68c2a3540943f9aa2a964bc794a4df91d2dfc919114752f"
-    )
-    assert data.startswith(b"1 1x1x1x1 ") and b"\n3 1x1x1x3 " in data
-
-
-def test_text_table_longer_than_65536_rows_refused(tt):
-    with pytest.raises(ValueError, match="row out of range"):
-        serialize_text(TranslationTable(tt.originals + b"ab"), io.BytesIO())
 
 
 class _FailingSink:
@@ -202,7 +186,8 @@ def test_binary_duplicate_row(tt):
     data[5 + 4 : 5 + 6] = (0).to_bytes(2, "big")
     with pytest.raises(TtFormatError) as err:
         load_binary(io.BytesIO(bytes(data)))
-    assert "duplicate row 0" in str(err.value)
+    assert err.value.offset == 5 + 4
+    assert "record 1 holds row 0, expected row 1" in str(err.value)
 
 
 def test_binary_records_out_of_order_load(tt):
@@ -211,7 +196,25 @@ def test_binary_records_out_of_order_load(tt):
     data = bytearray(sink.getvalue())
     a, b = 5 + 4 * 3, 5 + 4 * 40000  # swap two whole records
     data[a : a + 4], data[b : b + 4] = data[b : b + 4], data[a : a + 4]
-    assert load_binary(io.BytesIO(bytes(data))) == tt
+    with pytest.raises(TtFormatError) as err:
+        load_binary(io.BytesIO(bytes(data)))
+    assert err.value.offset == 5 + 4 * 3
+    assert "record 3 holds row 40000, expected row 3" in str(err.value)
+
+
+@settings(max_examples=25, deadline=None)
+@given(records=st.lists(st.integers(0, TT_ROWS - 1), min_size=2, max_size=2, unique=True))
+def test_binary_out_of_order_error_names_first_misplaced_record(tt, records):
+    sink = io.BytesIO()
+    serialize_binary(tt, sink)
+    data = bytearray(sink.getvalue())
+    first, second = sorted(records)
+    a, b = 5 + 4 * first, 5 + 4 * second
+    data[a : a + 4], data[b : b + 4] = data[b : b + 4], data[a : a + 4]
+    with pytest.raises(TtFormatError) as err:
+        load_binary(io.BytesIO(bytes(data)))
+    assert err.value.offset == a
+    assert f"record {first} holds row {second}, expected row {first}" in str(err.value)
 
 
 def test_loaded_mutation_caught_by_verify(tt):
