@@ -172,17 +172,6 @@ def inverse_of_table(originals, layout="interleaved"):
     return bytes(originals[2 * row] for row in _INVERSE_ROWS[layout])
 
 
-def row_stream(rows):
-    """Row stream of a sequence of row numbers; ValueError if one is out of range."""
-    try:
-        words = array("H", rows)
-    except OverflowError as exc:
-        raise ValueError(f"row out of range 0..65535: {exc}") from None
-    if sys.byteorder == "little":
-        words.byteswap()
-    return words.tobytes()
-
-
 def row_array(stream):
     """Row numbers of a row stream, as an array('H')."""
     words = array("H")

@@ -64,6 +64,16 @@ def _load_tables(args, mode):
     return tt
 
 
+def _verified(tables):
+    """Whether the tables pass verification; prints the first violation if not."""
+    try:
+        tables.ensure_verified()
+    except TtError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _print_report(report, fmt):
     print(report.render_kv() if fmt == "kv" else report.render_table())
 
@@ -106,13 +116,11 @@ def cmd_compress(args):
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
-    try:
-        result = codec.compress(
-            CompressJob(data=data, tables=tables, mode=args.mode, fmt=args.format)
-        )
-    except TtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if not _verified(tables):
         return EXIT_AUDIT_FAIL
+    result = codec.compress(
+        CompressJob(data=data, tables=tables, mode=args.mode, fmt=args.format)
+    )
     out_path = args.out or args.input + ".fbar"
     try:
         with open(out_path, "wb") as fh:
@@ -139,10 +147,7 @@ def cmd_decompress(args):
     tt = _load_tables(args, MODE_1TT)
     if tt is None:
         return EXIT_NO_TT
-    try:
-        tt.ensure_verified()  # keep verification out of the timed region
-    except TtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if not _verified(tt):  # keep verification out of the timed region
         return EXIT_AUDIT_FAIL
     start = time.perf_counter()
     try:
@@ -155,9 +160,6 @@ def cmd_decompress(args):
     except GridFormatError as exc:
         print(f"error: malformed artifact: {exc}", file=sys.stderr)
         return EXIT_BAD_ARTIFACT
-    except TtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AUDIT_FAIL
     elapsed = time.perf_counter() - start
     out_path = args.out or (
         args.input[: -len(".fbar")] if args.input.endswith(".fbar") else args.input + ".out"
@@ -222,12 +224,14 @@ def cmd_bench(args):
     tables = _load_tables(args, args.mode)
     if tables is None:
         return EXIT_NO_TT
+    if not _verified(tables):
+        return EXIT_AUDIT_FAIL
     rows = []
     failed = []
     for path in args.files:
         try:
             rows.append(_bench_row(path, tables, args.mode))
-        except (OSError, RuntimeError, GridFormatError, TtError) as exc:
+        except (OSError, RuntimeError, GridFormatError) as exc:
             failed.append((path, str(exc)))
     if args.report == "kv":
         for r in rows:

@@ -4,8 +4,10 @@
 4-TT mode maps every 8-byte chunk (4 pairs, each coded by the same
 table) to one occupant char plus four rows.  Either pipeline emits the
 paper-style or the honest artifact format and is lossless for
-arbitrary byte input, including odd lengths.  Decompression reads the
-mode from the artifact, so any verified table decodes any artifact.
+arbitrary byte input, including odd lengths.  Rows travel from the
+kernel to the artifact and back only as a row stream.  Decompression
+reads the mode from the artifact, so any verified table decodes any
+artifact.
 """
 
 import io
@@ -37,10 +39,9 @@ CompressResult = namedtuple("CompressResult", "artifact summary report")
 
 
 def encode_rows(data, layout="interleaved"):
-    """Rows (an array('H')) for every complete pair of the input, plus the tail byte."""
-    rows = addressing.row_array(addressing.encode_stream(data, layout))
+    """The row stream of every complete pair of the input, plus the tail byte."""
     tail = data[-1] if len(data) % 2 else None
-    return rows, tail
+    return addressing.encode_stream(data, layout), tail
 
 
 def compress(job: CompressJob) -> CompressResult:
@@ -56,15 +57,15 @@ def compress(job: CompressJob) -> CompressResult:
     layout = job.tables.layout
 
     start = time.perf_counter()
-    rows, tail = encode_rows(job.data, layout)
+    stream, tail = encode_rows(job.data, layout)
     sink = io.BytesIO()
     if job.fmt == FORMAT_PAPER:
-        summary = gridfile.write_grid(rows, job.mode, sink, tail)
+        summary = gridfile.write_grid(stream, job.mode, sink, tail)
         paper_accounted = summary.occupant_len
         honest_size = summary.honest_payload_size
     else:
         summary = None
-        total = gridfile.write_honest(rows, sink, tail)
+        total = gridfile.write_honest(stream, sink, tail)
         paper_accounted = None
         honest_size = total - gridfile.HONEST_OVERHEAD
 
@@ -81,7 +82,6 @@ def compress(job: CompressJob) -> CompressResult:
     # The report covers the whole call, its own building included.  The
     # input's order-0 entropies are computed when first read, outside it.
     report.elapsed = time.perf_counter() - start
-    report.throughput = report.input_size / report.elapsed if report.elapsed > 0 else 0.0
     return CompressResult(artifact=artifact, summary=summary, report=report)
 
 
@@ -93,13 +93,13 @@ def decompress(job: DecompressJob) -> bytes:
             f"unrecognized artifact magic {bytes(job.artifact[:4])!r}", offset=0
         )
     if kind == "paper":
-        parsed = gridfile.parse_grid(io.BytesIO(job.artifact))
+        parsed = gridfile.parse_grid(job.artifact)
         if job.mode is not None and parsed.mode != job.mode:
             raise ModeMismatchError(
                 f"artifact mode {parsed.mode} does not match requested {job.mode}"
             )
     else:
-        parsed = gridfile.parse_honest(io.BytesIO(job.artifact))
+        parsed = gridfile.parse_honest(job.artifact)
 
     tt = job.tables
     tt.ensure_verified()

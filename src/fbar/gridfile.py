@@ -17,9 +17,13 @@ complete 95-unit block; a block also closes early when a unit's row
 would land on a slot already occupied in the current block's region.
 The grid region holds the chars of the last block at its rows' slots.
 
+Rows come in and go out only as a row stream (2 big-endian bytes per
+row, the address channel's bytes): the writers take one, and the
+parsers take the artifact's bytes and return one.
+
 One routine (_render) lays out the occupant stream and the region from
-the unit count of each block and the rows.  The writer finds the block
-lengths from the rows.  The parser renders the block lengths the
+the unit count of each block and the row stream.  The writer finds the
+block lengths from the rows.  The parser renders the block lengths the
 occupant stream claims over the address channel and byte-compares; it
 does not derive them from the rows, so an early restart without a
 collision, or a repeated row inside a 1tt block, still parses.
@@ -97,22 +101,10 @@ class GridArtifact(namedtuple(
         return self.address_len + self.tail_len
 
 
-class ParsedHonest:
-    def __init__(self, stream, tail):
-        self.stream = stream  # the rows, 2 big-endian bytes each
-        self.tail = tail  # the odd last byte, or None
-
-    @property
-    def rows(self):
-        """The row numbers as a list, built on each access."""
-        return addressing.row_array(self.stream).tolist()
-
-
-class ParsedGrid(ParsedHonest):
-    def __init__(self, stream, tail, mode, block_units):
-        super().__init__(stream, tail)
-        self.mode = mode
-        self.block_units = block_units  # unit count per block, in stream order
+# stream: the row stream; tail: the odd last byte, or None.
+ParsedHonest = namedtuple("ParsedHonest", "stream tail")
+# block_units: the unit count of each block, in stream order.
+ParsedGrid = namedtuple("ParsedGrid", "stream tail mode block_units")
 
 
 def _tail_bytes(tail):
@@ -124,6 +116,13 @@ def _tail_bytes(tail):
     return bytes((TAIL_MARKER, tail))
 
 
+def _pair_count(stream):
+    """Rows in a row stream; ValueError unless it holds whole rows."""
+    if len(stream) % 2:
+        raise ValueError(f"row stream of odd length {len(stream)}")
+    return len(stream) // 2
+
+
 def _emit(sink, out):
     try:
         sink.write(bytes(out))
@@ -131,7 +130,7 @@ def _emit(sink, out):
         raise GridFormatError(f"sink write failed: {exc}") from exc
 
 
-def _block_lengths(rows, mode):
+def _block_lengths(stream, mode):
     """Unit count of each block the writer lays out, in stream order.
 
     A block closes after 95 units, or early, before a unit with a row
@@ -140,6 +139,7 @@ def _block_lengths(rows, mode):
     the block placed r exactly when start <= last[r] < u; a row repeated
     inside one 4tt unit is no collision.
     """
+    rows = addressing.row_array(stream)
     size = 1 if mode == MODE_1TT else 4
     count = -(-len(rows) // size)
     units = range(count)  # the unit of each row
@@ -186,55 +186,55 @@ def _render(block_units, stream, mode):
     return occupant, region
 
 
-def write_grid(rows, mode, sink, tail=None):
+def write_grid(stream, mode, sink, tail=None):
     """Write a paper-style artifact; returns a GridArtifact summary.
 
-    ``rows`` is a sized sequence of row numbers, such as a list or the
-    codec's array('H').
+    ``stream`` is the row stream, any bytes-like object; it becomes the
+    address channel as it is.  ValueError if its length is odd.
     """
     if mode not in _MODE_BYTES:
         raise ValueError(f"unknown mode {mode!r}")
-    address = addressing.row_stream(rows)
+    pair_count = _pair_count(stream)
     tail_bytes = _tail_bytes(tail)
 
-    lengths = _block_lengths(rows, mode)
-    occupant, region = _render(lengths, address, mode)
+    lengths = _block_lengths(stream, mode)
+    occupant, region = _render(lengths, stream, mode)
 
     out = bytearray()
     out += GRID_MAGIC
     out.append(VERSION)
     out.append(_MODE_BYTES[mode])
-    out += len(rows).to_bytes(8, "big")
+    out += pair_count.to_bytes(8, "big")
     out += region
     out += len(occupant).to_bytes(8, "big")
     out += occupant
-    out += len(address).to_bytes(8, "big")
-    out += address
+    out += len(stream).to_bytes(8, "big")
+    out += stream
     out.append(len(tail_bytes))
     out += tail_bytes
     _emit(sink, out)
     closed = lengths[:-1]
     return GridArtifact(
         mode=mode,
-        pair_count=len(rows),
+        pair_count=pair_count,
         occupant_len=len(occupant),
         separator_count=len(occupant) - sum(lengths),
         block_count=len(lengths),
         collision_restarts=len(closed) - closed.count(BLOCK_UNITS),
-        address_len=len(address),
+        address_len=len(stream),
         tail_len=len(tail_bytes),
         total_len=len(out),
     )
 
 
-def write_honest(rows, sink, tail=None):
-    """Write a self-contained artifact; returns bytes written."""
-    stream = addressing.row_stream(rows)
+def write_honest(stream, sink, tail=None):
+    """Write a self-contained artifact from a row stream; returns bytes written."""
+    pair_count = _pair_count(stream)
     tail_bytes = _tail_bytes(tail)
     out = bytearray()
     out += HONEST_MAGIC
     out.append(VERSION)
-    out += (len(stream) // 2).to_bytes(8, "big")
+    out += pair_count.to_bytes(8, "big")
     out += stream
     out.append(len(tail_bytes))
     out += tail_bytes
@@ -255,9 +255,9 @@ class _Reader:
         return chunk
 
 
-def _open(source, magic):
+def _open(data, magic):
     """Reader over the artifact, positioned after its checked magic and version."""
-    reader = _Reader(source.read())
+    reader = _Reader(bytes(data))
     found = reader.take(4, "magic")
     if found != magic:
         raise GridFormatError(f"bad magic {bytes(found)!r}", offset=0)
@@ -335,15 +335,15 @@ def _occupant_mismatch(got, want, base_offset):
     return GridFormatError(what, offset=base_offset + i, block=block)
 
 
-def parse_grid(source):
-    """Parse a paper-style artifact; exact inverse of write_grid.
+def parse_grid(data):
+    """Parse a paper-style artifact's bytes; exact inverse of write_grid.
 
     Renders the occupant stream and the region again and byte-compares
     them.  Raises GridFormatError naming offset and block on any
     defect: bad magic, separator or ordinal mismatches, channel length
     mismatches, inconsistent grid region, trailing garbage.
     """
-    reader = _open(source, GRID_MAGIC)
+    reader = _open(data, GRID_MAGIC)
     mode_byte = reader.take(1, "mode")[0]
     parsed_mode = _MODE_NAMES.get(mode_byte)
     if parsed_mode is None:
@@ -390,17 +390,17 @@ def parse_grid(source):
         )
 
     return ParsedGrid(
-        stream=bytes(address), tail=tail, mode=parsed_mode, block_units=block_units
+        stream=address, tail=tail, mode=parsed_mode, block_units=block_units
     )
 
 
-def parse_honest(source):
-    """Parse a self-contained artifact; exact inverse of write_honest."""
-    reader = _open(source, HONEST_MAGIC)
+def parse_honest(data):
+    """Parse a self-contained artifact's bytes; exact inverse of write_honest."""
+    reader = _open(data, HONEST_MAGIC)
     pair_count = int.from_bytes(reader.take(8, "pair count"), "big")
     body = reader.take(2 * pair_count, "row stream")
     tail = _read_tail(reader)
-    return ParsedHonest(stream=bytes(body), tail=tail)
+    return ParsedHonest(stream=body, tail=tail)
 
 
 def artifact_kind(data):

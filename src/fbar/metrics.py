@@ -120,7 +120,7 @@ class MetricsReport:
     def __init__(
         self, input_size, mode, fmt, paper_size_1tt, paper_size_4tt, paper_accounted,
         honest_size, artifact_size, space_savings_paper, fbar_H, data,
-        manipulation_total, elapsed, throughput,
+        manipulation_total, elapsed,
     ):
         self.input_size = input_size
         self.mode = mode
@@ -139,7 +139,6 @@ class MetricsReport:
         self._order0 = None
         self.manipulation_total = manipulation_total
         self.elapsed = elapsed
-        self.throughput = throughput
 
     def _entropies(self):
         if self._order0 is None:
@@ -147,6 +146,11 @@ class MetricsReport:
             self._order0 = (h0, h)
             self._data = None
         return self._order0
+
+    @property
+    def throughput(self):
+        """Input bytes per second of ``elapsed``; 0.0 when ``elapsed`` is 0."""
+        return self.input_size / self.elapsed if self.elapsed > 0 else 0.0
 
     @property
     def shannon_H0(self):
@@ -212,7 +216,6 @@ def build_report(data, mode, fmt, elapsed, paper_accounted, honest_size, artifac
         data=data,
         manipulation_total=manipulation_distance(pairs),
         elapsed=elapsed,
-        throughput=n / elapsed if elapsed > 0 else 0.0,
     )
 
 
@@ -232,9 +235,9 @@ class AuditReport:
         return self.violations[0][0] if self.violations else None
 
 
-def _occupant_only(rows):
+def _occupant_only(stream):
     buf = io.BytesIO()
-    gridfile.write_grid(rows, gridfile.MODE_1TT, buf)
+    gridfile.write_grid(stream, gridfile.MODE_1TT, buf)
     return gridfile.occupant_stream(buf.getvalue())
 
 
@@ -260,8 +263,8 @@ def pigeonhole_audit(tt):
     violations = transtable.verify_tt(tt).violations[:AUDIT_MAX_VIOLATIONS]
 
     witness_a, witness_b = b"aa", b"bb"
-    stream_a = _occupant_only([addressing.row_of_pair(*witness_a, layout)])
-    stream_b = _occupant_only([addressing.row_of_pair(*witness_b, layout)])
+    stream_a = _occupant_only(addressing.encode_stream(witness_a, layout))
+    stream_b = _occupant_only(addressing.encode_stream(witness_b, layout))
     witness = (witness_a, witness_b, stream_a) if stream_a == stream_b else None
 
     return AuditReport(

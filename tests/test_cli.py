@@ -200,6 +200,23 @@ def test_bench_marks_unreadable_file(tmp_path, tt_file, capsys, no_tt_env):
     assert "good.txt" in out
 
 
+def test_bench_table_failing_verification(tmp_path, capsys, no_tt_env):
+    # a grouped table read as interleaved fails verification before any file
+    assert main(
+        ["gen-tt", "--out", str(tmp_path), "--format", "binary", "--layout", "grouped"]
+    ) == EXIT_OK
+    files = []
+    for name in ("a.txt", "b.txt"):
+        (tmp_path / name).write_bytes(b"never compressed")
+        files.append(str(tmp_path / name))
+    capsys.readouterr()
+    assert main(["bench", *files, "--tt", str(tmp_path / "tt1.bin")]) == EXIT_AUDIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: table failed verification: row ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_entropy_command(tmp_path, capsys):
     flat = tmp_path / "flat.bin"
     flat.write_bytes(b"a" * 100)

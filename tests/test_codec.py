@@ -1,4 +1,3 @@
-import io
 import time
 
 import pytest
@@ -59,18 +58,17 @@ def test_8_bytes_4tt(set4):
 
 
 def test_encode_rows_tail():
-    rows, tail = encode_rows(b"abc")
-    assert len(rows) == 1 and tail == ord("c")
-    rows, tail = encode_rows(b"ab")
-    assert len(rows) == 1 and tail is None
+    row = addressing.row_of_pair(ord("a"), ord("b")).to_bytes(2, "big")
+    assert encode_rows(b"abc") == (row, ord("c"))
+    assert encode_rows(b"ab") == (row, None)
 
 
 def test_at_dollar_artifact_decodes_through_combos(tt):
     # the stored row regenerates '@' and '$' via their canonical combos
     result, _ = roundtrip(b"@$", tt)
-    parsed = gridfile.parse_grid(io.BytesIO(result.artifact))
-    assert len(parsed.rows) == 1
-    x, x2 = addressing.pair_of_row(parsed.rows[0])
+    parsed = gridfile.parse_grid(result.artifact)
+    assert len(parsed.stream) == 2
+    x, x2 = addressing.pair_of_row(int.from_bytes(parsed.stream, "big"))
     assert x == pairops.decode_byte("ippp", "znnn") == 0x40
     assert x2 == pairops.decode_byte("piip", "nnzn") == 0x24
 
@@ -181,6 +179,22 @@ def test_grouped_layout_roundtrip(tt_grouped):
     inter_rows, _ = encode_rows(data, "interleaved")
     grouped_rows, _ = encode_rows(data, "grouped")
     assert inter_rows != grouped_rows
+
+
+@pytest.mark.parametrize("layout", addressing.LAYOUTS)
+@pytest.mark.parametrize("mode", (MODE_1TT, MODE_4TT))
+def test_honest_path_keeps_rows_in_the_row_stream(layout, mode, monkeypatch):
+    tt = transtable.generate_tt(layout)
+    tables = transtable.TtSet4((tt,) * 4) if mode == MODE_4TT else tt
+    tables.ensure_verified()
+
+    def row_array(stream):
+        raise AssertionError("row stream converted to row numbers")
+
+    monkeypatch.setattr(addressing, "row_array", row_array)
+    data = bytes(range(256)) * 4 + b"!"
+    _, restored = roundtrip(data, tables, mode=mode, fmt=FORMAT_HONEST)
+    assert restored == data
 
 
 def test_report_fields_complete(tt):

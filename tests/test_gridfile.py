@@ -29,10 +29,22 @@ def rows_for(text):
     ]
 
 
+def stream_of(rows):
+    """The row stream of a list of row numbers."""
+    return b"".join(r.to_bytes(2, "big") for r in rows)
+
+
 def grid_bytes(rows, mode=MODE_1TT, tail=None):
     sink = io.BytesIO()
-    summary = write_grid(rows, mode, sink, tail)
+    summary = write_grid(stream_of(rows), mode, sink, tail)
     return sink.getvalue(), summary
+
+
+def honest_bytes(rows, tail=None):
+    sink = io.BytesIO()
+    total = write_honest(stream_of(rows), sink, tail)
+    assert total == len(sink.getvalue())
+    return sink.getvalue()
 
 
 OCCUPANT_AT = 14 + GRID_REGION_BYTES + 8  # offset of the occupant stream
@@ -142,8 +154,8 @@ def test_separator_codes_cycle_past_31():
     data, summary = grid_bytes(rows)
     seps = [b for b in occupant_stream(data) if b < 32]
     assert seps == list(range(1, 32)) + [1]
-    parsed = parse_grid(io.BytesIO(data))
-    assert parsed.rows == rows
+    parsed = parse_grid(data)
+    assert parsed.stream == stream_of(rows)
 
 
 def test_empty_input():
@@ -152,8 +164,8 @@ def test_empty_input():
     assert summary.occupant_len == 0
     assert summary.honest_payload_size == 0
     assert set(data[14 : 14 + GRID_REGION_BYTES]) == {0}
-    parsed = parse_grid(io.BytesIO(data))
-    assert parsed.rows == [] and parsed.tail is None
+    parsed = parse_grid(data)
+    assert parsed.stream == b"" and parsed.tail is None
 
 
 def test_collision_restarts_block():
@@ -161,8 +173,8 @@ def test_collision_restarts_block():
     data, summary = grid_bytes([row, row])
     assert occupant_stream(data) == bytes([OCCUPANT_ALPHABET[0], 1, OCCUPANT_ALPHABET[0]])
     assert summary.collision_restarts == 1
-    parsed = parse_grid(io.BytesIO(data))
-    assert parsed.rows == [row, row]
+    parsed = parse_grid(data)
+    assert parsed.stream == stream_of([row, row])
     assert parsed.block_units == [1, 1]
 
 
@@ -173,8 +185,8 @@ def test_4tt_units_share_one_char():
     region = data[14 : 14 + GRID_REGION_BYTES]
     assert [region[r] for r in rows[:4]] == [ord("a")] * 4
     assert [region[r] for r in rows[4:]] == [ord("b")] * 4
-    parsed = parse_grid(io.BytesIO(data))
-    assert parsed.mode == MODE_4TT and parsed.rows == rows
+    parsed = parse_grid(data)
+    assert parsed.mode == MODE_4TT and parsed.stream == stream_of(rows)
 
 
 def test_4tt_duplicate_rows_within_chunk_do_not_collide():
@@ -195,7 +207,7 @@ def test_honest_payload_counts_everything():
     rows = list(range(10))
     data, summary = grid_bytes(rows, tail=0x7A)
     assert summary.honest_payload_size == 2 * 10 + 2
-    parsed = parse_grid(io.BytesIO(data))
+    parsed = parse_grid(data)
     assert parsed.tail == 0x7A
 
 
@@ -206,47 +218,54 @@ def test_grid_region_is_always_64k():
         addr = summary.address_len
         expected = 14 + GRID_REGION_BYTES + 8 + occ + 8 + addr + 1 + summary.tail_len
         assert len(data) == expected == summary.total_len
-        assert parse_grid(io.BytesIO(data)).rows == rows
+        assert parse_grid(data).stream == stream_of(rows)
+
+
+BUFFERS = (bytes, bytearray, memoryview)
+row_streams = st.binary(max_size=800).map(lambda b: b[: len(b) - len(b) % 2])
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    rows=st.lists(st.integers(0, 65535), max_size=400),
+    stream=row_streams,
     tail=st.one_of(st.none(), st.integers(0, 255)),
     mode=st.sampled_from((MODE_1TT, MODE_4TT)),
+    kind=st.sampled_from(BUFFERS),
 )
-def test_parse_inverts_write(rows, tail, mode):
-    data, _ = grid_bytes(rows, mode=mode, tail=tail)
-    parsed = parse_grid(io.BytesIO(data))
-    assert parsed.rows == rows
+def test_parse_inverts_write(stream, tail, mode, kind):
+    sink = io.BytesIO()
+    summary = write_grid(kind(stream), mode, sink, tail)
+    data = sink.getvalue()
+    assert summary.total_len == len(data)
+    parsed = parse_grid(kind(data))
+    assert parsed.stream == stream
     assert parsed.tail == tail
     assert parsed.mode == mode
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    rows=st.lists(st.integers(0, 65535), max_size=400),
+    stream=row_streams,
     tail=st.one_of(st.none(), st.integers(0, 255)),
+    kind=st.sampled_from(BUFFERS),
 )
-def test_honest_parse_inverts_write(rows, tail):
+def test_honest_parse_inverts_write(stream, tail, kind):
     sink = io.BytesIO()
-    total = write_honest(rows, sink, tail)
+    total = write_honest(kind(stream), sink, tail)
     data = sink.getvalue()
     assert total == len(data)
-    parsed = parse_honest(io.BytesIO(data))
-    assert parsed.rows == rows
+    parsed = parse_honest(kind(data))
+    assert parsed.stream == stream
     assert parsed.tail == tail
 
 
 def test_honest_payload_is_rows_plus_tail():
-    sink = io.BytesIO()
-    total = write_honest(list(range(7)), sink, tail=9)
-    assert total == 14 + 2 * 7 + 2
+    assert len(honest_bytes(list(range(7)), tail=9)) == 14 + 2 * 7 + 2
 
 
 def test_parse_rejects_bad_magic():
     with pytest.raises(GridFormatError) as err:
-        parse_grid(io.BytesIO(b"XXXX" + bytes(40)))
+        parse_grid(b"XXXX" + bytes(40))
     assert err.value.offset == 0
 
 
@@ -258,7 +277,7 @@ def test_deleted_occupant_char_is_an_ordinal_gap():
     del buf[stream_at + 2]
     buf[14 + GRID_REGION_BYTES : stream_at] = (9).to_bytes(8, "big")
     with pytest.raises(GridFormatError) as err:
-        parse_grid(io.BytesIO(bytes(buf)))
+        parse_grid(bytes(buf))
     assert "ordinal" in str(err.value)
     assert err.value.block == 0
 
@@ -272,7 +291,7 @@ def test_truncated_address_channel_is_length_mismatch():
     buf[addr_len_at : addr_len_at + 8] = (18).to_bytes(8, "big")
     del buf[addr_len_at + 8 + 18 : addr_len_at + 8 + 20]
     with pytest.raises(GridFormatError) as err:
-        parse_grid(io.BytesIO(bytes(buf)))
+        parse_grid(bytes(buf))
     assert "length" in str(err.value)
 
 
@@ -283,7 +302,7 @@ def test_wrong_separator_code_rejected():
     assert buf[stream_at + 95] == 1
     buf[stream_at + 95] = 2  # out-of-cycle separator
     with pytest.raises(GridFormatError) as err:
-        parse_grid(io.BytesIO(bytes(buf)))
+        parse_grid(bytes(buf))
     assert "separator" in str(err.value)
 
 
@@ -292,14 +311,14 @@ def test_corrupt_region_rejected():
     buf = bytearray(data)
     buf[14 + 60000] ^= 0x41
     with pytest.raises(GridFormatError) as err:
-        parse_grid(io.BytesIO(bytes(buf)))
+        parse_grid(bytes(buf))
     assert "region" in str(err.value)
 
 
 def test_trailing_garbage_rejected():
     data, _ = grid_bytes([1])
     with pytest.raises(GridFormatError) as err:
-        parse_grid(io.BytesIO(data + b"x"))
+        parse_grid(data + b"x")
     assert "trailing" in str(err.value)
 
 
@@ -308,32 +327,33 @@ def test_bad_tail_marker_rejected():
     buf = bytearray(data)
     buf[-2] = 0xEE  # marker byte
     with pytest.raises(GridFormatError) as err:
-        parse_grid(io.BytesIO(bytes(buf)))
+        parse_grid(bytes(buf))
     assert "marker" in str(err.value)
 
 
-def test_row_out_of_range_rejected_on_write():
-    with pytest.raises(ValueError):
-        write_grid([70000], MODE_1TT, io.BytesIO())
-    with pytest.raises(ValueError):
-        write_honest([-1], io.BytesIO())
+def test_odd_length_stream_rejected_on_write():
+    for kind in BUFFERS:
+        sink = io.BytesIO()
+        with pytest.raises(ValueError, match="row stream of odd length 3"):
+            write_grid(kind(b"\x00\x01\x02"), MODE_1TT, sink)
+        with pytest.raises(ValueError, match="row stream of odd length 3"):
+            write_honest(kind(b"\x00\x01\x02"), sink)
+        assert sink.getvalue() == b""
 
 
 def test_honest_errors_name_their_offset():
-    sink = io.BytesIO()
-    write_honest(list(range(10)), sink, tail=0x41)
-    data = sink.getvalue()
+    data = honest_bytes(list(range(10)), tail=0x41)
     for cut in (3, 13, 20, len(data) - 1):  # magic, row count, rows, tail
         with pytest.raises(GridFormatError) as err:
-            parse_honest(io.BytesIO(data[:cut]))
+            parse_honest(data[:cut])
         assert "truncated" in str(err.value) and err.value.offset == cut
     with pytest.raises(GridFormatError) as err:
-        parse_honest(io.BytesIO(data + b"zz"))
+        parse_honest(data + b"zz")
     assert "trailing" in str(err.value) and err.value.offset == len(data)
     bad = bytearray(data)
     bad[-2] = 0xEE  # tail marker
     with pytest.raises(GridFormatError) as err:
-        parse_honest(io.BytesIO(bytes(bad)))
+        parse_honest(bytes(bad))
     assert "marker" in str(err.value) and err.value.offset == len(data) - 2
 
 
@@ -353,8 +373,8 @@ def test_layout_matches_reference(case):
     assert summary.block_count == blocks
     assert summary.separator_count == separators
     assert summary.collision_restarts == restarts
-    parsed = parse_grid(io.BytesIO(data))
-    assert parsed.rows == rows and len(parsed.block_units) == blocks
+    parsed = parse_grid(data)
+    assert parsed.stream == stream_of(rows) and len(parsed.block_units) == blocks
 
 
 def test_full_final_block_without_its_separator_rejected():
@@ -362,7 +382,7 @@ def test_full_final_block_without_its_separator_rejected():
     stream = occupant_stream(data)
     assert stream == OCCUPANT_ALPHABET + b"\x01"
     with pytest.raises(GridFormatError) as err:
-        parse_grid(io.BytesIO(with_occupant(data, stream[:-1])))
+        parse_grid(with_occupant(data, stream[:-1]))
     assert "separator" in str(err.value)
     assert err.value.offset == OCCUPANT_AT + 95 and err.value.block == 0
 
@@ -371,7 +391,7 @@ def test_separator_after_partial_final_block_rejected():
     data, _ = grid_bytes([1, 2, 3])
     assert occupant_stream(data) == b"abc"
     with pytest.raises(GridFormatError) as err:
-        parse_grid(io.BytesIO(with_occupant(data, b"abc\x01")))
+        parse_grid(with_occupant(data, b"abc\x01"))
     assert "separator" in str(err.value)
     assert err.value.offset == OCCUPANT_AT + 3 and err.value.block == 0
 
@@ -380,7 +400,7 @@ def test_missing_separator_after_95_chars_rejected():
     data, _ = grid_bytes(list(range(96)))
     stream = occupant_stream(data)
     with pytest.raises(GridFormatError) as err:
-        parse_grid(io.BytesIO(with_occupant(data, stream[:95] + stream[96:])))
+        parse_grid(with_occupant(data, stream[:95] + stream[96:]))
     assert "missing block separator after 95 occupant chars" in str(err.value)
     assert err.value.offset == OCCUPANT_AT + 95 and err.value.block == 0
 
@@ -397,7 +417,7 @@ def test_separator_without_occupant_chars_rejected(edit, offset, block):
     data, _ = grid_bytes(list(range(96)))
     forged = with_occupant(data, edit(occupant_stream(data)))
     with pytest.raises(GridFormatError) as err:
-        parse_grid(io.BytesIO(forged))
+        parse_grid(forged)
     assert "separator without preceding occupant chars" in str(err.value)
     assert err.value.offset == OCCUPANT_AT + offset and err.value.block == block
 
@@ -407,7 +427,7 @@ def test_region_mismatch_names_slot_and_block():
     buf = bytearray(data)
     buf[14 + 60000] ^= 0x41
     with pytest.raises(GridFormatError) as err:
-        parse_grid(io.BytesIO(bytes(buf)))
+        parse_grid(bytes(buf))
     assert "region" in str(err.value)
     assert err.value.offset == 14 + 60000 and err.value.block == 1
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from fbar import addressing
 from fbar.addressing import (
     LAYOUTS,
     decode_stream,
@@ -70,7 +69,7 @@ def test_grouped_rejects_odd_row_stream():
 
 
 def test_row_stream_is_big_endian():
-    assert addressing.row_stream([0x0102, 0xFFFE]) == b"\x01\x02\xff\xfe"
+    for layout in LAYOUTS:
+        row = row_of_pair(0x40, 0x24, layout)
+        assert encode_stream(b"\x40\x24", layout) == bytes((row >> 8, row & 0xFF))
     assert row_array(b"\x01\x02\xff\xfe").tolist() == [0x0102, 0xFFFE]
-    with pytest.raises(ValueError):
-        addressing.row_stream([65536])
