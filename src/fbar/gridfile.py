@@ -23,14 +23,15 @@ parsers take the artifact's bytes and return one.
 
 One routine (_render) lays out the occupant stream and the region from
 the unit count of each block and the row stream.  The writer finds the
-block lengths from the rows.  The parser renders the block lengths the
-occupant stream claims over the address channel and byte-compares; it
-does not derive them from the rows, so an early restart without a
-collision, or a repeated row inside a 1tt block, still parses.
+block lengths from the row stream's bytes, each row's high and low
+byte keying a table of the block that last placed it.  The parser
+renders the block lengths the occupant stream claims over the address
+channel and byte-compares; it does not derive them from the rows, so an
+early restart without a collision, or a repeated row inside a 1tt
+block, still parses.
 """
 
 from collections import namedtuple
-from itertools import chain
 from operator import getitem
 
 from . import addressing
@@ -135,26 +136,40 @@ def _block_lengths(stream, mode):
 
     A block closes after 95 units, or early, before a unit with a row
     that an earlier unit placed in the block (a collision restart).
-    last[r] is the latest unit that placed row r, so an earlier unit of
-    the block placed r exactly when start <= last[r] < u; a row repeated
-    inside one 4tt unit is no collision.
+    last[hi][lo] is the number of the block that last placed the row
+    with bytes hi and lo, so a unit collides exactly when one of its
+    slots holds the current block's number.  A 4tt unit is checked whole
+    before it is marked, so a row repeated inside one unit is no collision.
     """
-    rows = addressing.row_array(stream)
-    size = 1 if mode == MODE_1TT else 4
-    count = -(-len(rows) // size)
-    units = range(count)  # the unit of each row
-    if size > 1:
-        units = chain.from_iterable(zip(*[units] * size))
-    last = [-1] * addressing.ROWS
+    step = 2 if mode == MODE_1TT else 8  # stream bytes per unit
+    partial = len(stream) % step
+    if partial:  # fill a partial last unit up with its first row, which cannot collide
+        stream = bytes(stream) + bytes(stream[-partial:][:2]) * ((step - partial) // 2)
+    columns = [stream[i::step] for i in range(step)]
+    last = [[-1] * 256 for _ in range(256)]
     lengths = []
-    start = 0
-    for u, r in zip(units, rows):
-        if u - start == BLOCK_UNITS or start <= last[r] < u:
-            lengths.append(u - start)
-            start = u
-        last[r] = u
-    if count > start:
-        lengths.append(count - start)
+    block = n = 0  # the current block's number and its units so far
+    if step == 2:
+        for hi, lo in zip(*columns):
+            slot = last[hi]
+            if n == BLOCK_UNITS or slot[lo] == block:
+                lengths.append(n)
+                block += 1
+                n = 0
+            slot[lo] = block
+            n += 1
+    else:
+        for h0, l0, h1, l1, h2, l2, h3, l3 in zip(*columns):
+            s0, s1, s2, s3 = last[h0], last[h1], last[h2], last[h3]
+            hit = s0[l0] == block or s1[l1] == block or s2[l2] == block or s3[l3] == block
+            if n == BLOCK_UNITS or hit:
+                lengths.append(n)
+                block += 1
+                n = 0
+            s0[l0] = s1[l1] = s2[l2] = s3[l3] = block
+            n += 1
+    if n:
+        lengths.append(n)
     return lengths
 
 

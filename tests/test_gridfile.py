@@ -1,10 +1,11 @@
 import io
+import random
 
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from fbar import addressing, gridfile
+from fbar import addressing, codec, gridfile
 from fbar.gridfile import (
     BLOCK_UNITS,
     GRID_MAGIC,
@@ -101,7 +102,9 @@ def reference_layout(rows, mode):
 def layout_inputs(draw):
     """Rows that run into both block limits: mostly distinct rows, with
     some (or all) drawn from an alphabet of at most 3 rows, so blocks end
-    at 95 units and at collisions.  4tt inputs may end in a partial unit."""
+    at 95 units and at collisions.  4tt inputs may end in a partial unit.
+    The alphabet may also hold rows that share the high byte or the low
+    byte of one of its rows, which collide only with themselves."""
     mode = draw(st.sampled_from((MODE_1TT, MODE_4TT)))
     size = 1 if mode == MODE_1TT else 4
     units = draw(st.sampled_from((1, 2, 94, 95, 96, 190)))
@@ -109,6 +112,8 @@ def layout_inputs(draw):
     base = draw(st.integers(0, 65536 - count))
     rows = list(range(base, base + count))
     alphabet = draw(st.lists(st.integers(0, 65535), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        alphabet += [row ^ flip for row in alphabet for flip in (0x0100, 0x0001)]
     picks = st.tuples(st.integers(0, count - 1), st.sampled_from(alphabet))
     for at, row in draw(st.lists(picks, max_size=count)):
         rows[at] = row
@@ -364,6 +369,13 @@ def test_honest_errors_name_their_offset():
 @example(([7, 7, 8, 7, 9, 9, 9, 9, 7, 8], MODE_4TT))  # repeats inside units, partial last
 @example(([0, 1, 2, 3, 4, 5], MODE_4TT))  # a partial unit beside row 0
 @example((list(range(95)) + [0] + list(range(200, 294)), MODE_1TT))
+@example(([0x1234, 0x1334, 0x1235, 0x0034, 0x1200], MODE_1TT))  # rows sharing one byte
+@example(([0x1234, 1, 2, 3, 0x1334, 0x1235, 0x0034, 0x1200, 0x1203, 0x1300], MODE_4TT))
+@example(([5] * 200, MODE_1TT))  # every block one unit
+@example(([5] * 203, MODE_4TT))
+@example(([0, 1, 2, 3, 9, 9, 9], MODE_4TT))  # a repeat inside the partial last unit
+@example((list(range(95)) + [94, 0, 95], MODE_1TT))  # the last full block's rows
+@example((list(range(380)) + [379, 0, 1, 2, 3, 380], MODE_4TT))
 def test_layout_matches_reference(case):
     rows, mode = case
     data, summary = grid_bytes(rows, mode=mode)
@@ -375,6 +387,43 @@ def test_layout_matches_reference(case):
     assert summary.collision_restarts == restarts
     parsed = parse_grid(data)
     assert parsed.stream == stream_of(rows) and len(parsed.block_units) == blocks
+
+
+def corpus_of(kind, size):
+    """A ``size``-byte input shaped like the benchmark's corpora."""
+    rng = random.Random(f"{kind}:{size}")
+    if kind == "zero":
+        return bytes(size)
+    if kind == "random":
+        return rng.randbytes(size)
+    if kind == "acgt":
+        return bytes(rng.choices(b"ACGT", k=size))
+    words = b"the grid file holds each block of up to ninety five units".split()
+    text = b" ".join(rng.choices(words, k=size // 3))
+    return text[:size]
+
+
+@pytest.mark.parametrize("layout", addressing.LAYOUTS)
+@pytest.mark.parametrize("mode", (MODE_1TT, MODE_4TT))
+@pytest.mark.parametrize(
+    "kind, size",
+    [("zero", 65536), ("zero", 65538), ("random", 65537), ("acgt", 65541), ("text", 65542)],
+)
+def test_layout_matches_reference_on_corpora(kind, size, mode, layout):
+    # 64 KiB inputs, some odd and some leaving a partial 4tt unit, with
+    # blocks of 1 (zero) to 95 (random) units.
+    stream, tail = codec.encode_rows(corpus_of(kind, size), layout)
+    sink = io.BytesIO()
+    summary = write_grid(stream, mode, sink, tail)
+    data = sink.getvalue()
+    occupant, region, blocks, separators, restarts = reference_layout(
+        list(addressing.row_array(stream)), mode
+    )
+    assert occupant_stream(data) == occupant
+    assert data[14 : 14 + GRID_REGION_BYTES] == region
+    assert summary.block_count == blocks
+    assert summary.separator_count == separators
+    assert summary.collision_restarts == restarts
 
 
 def test_full_final_block_without_its_separator_rejected():

@@ -91,6 +91,20 @@ def test_verify_corrupt_record_names_row(tt):
     assert str(row) in report.violations[0][1]
 
 
+def test_verify_names_rows_on_both_sides_of_chunk_edges(tt):
+    # verify_tt compares the table 256 rows at a time
+    rows = [0, 255, 256, 511, 65280, 65535]
+    buf = bytearray(tt.originals)
+    for row in rows:
+        buf[2 * row + 1] ^= 0x01
+    want = [
+        (row, f"row {row} holds {buf[2 * row : 2 * row + 2].hex()}, "
+              f"expected {tt.originals[2 * row : 2 * row + 2].hex()}")
+        for row in rows
+    ]
+    assert verify_tt(TranslationTable(bytes(buf))).violations == want
+
+
 def test_text_serialization_exact_size(tt):
     sink = io.BytesIO()
     written = serialize_text(tt, sink)
