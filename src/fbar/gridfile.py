@@ -21,14 +21,14 @@ Rows come in and go out only as a row stream (2 big-endian bytes per
 row, the address channel's bytes): the writers take one, and the
 parsers take the artifact's bytes and return one.
 
-One routine (_render) lays out the occupant stream and the region from
-the unit count of each block and the row stream.  The writer finds the
-block lengths from the row stream's bytes, each row's high and low
-byte keying a table of the block that last placed it.  The parser
-renders the block lengths the occupant stream claims over the address
-channel and byte-compares; it does not derive them from the rows, so an
-early restart without a collision, or a repeated row inside a 1tt
-block, still parses.
+One routine (_render) lays out the occupant stream from the unit count
+of each block, and one (_region) the grid region from the last block's
+rows.  The writer finds the block lengths from the row stream's bytes,
+each row's high and low byte keying a table of the block that last
+placed it.  The parser checks that the occupant stream is _render's
+output for its own blocks (by its distinct blocks, not by rendering
+again) but does not derive the lengths from the rows: an early restart
+without a collision, or a repeated row inside a 1tt block, still parses.
 """
 
 from collections import namedtuple
@@ -66,7 +66,10 @@ _PHASES = list(range(len(SEPARATOR_CODES))) * 128
 # Every byte below 32 is read as a separator; translating them all to
 # one marker lets a split find the blocks.
 _MARK = b"\x00"
-_MARK_SEPARATORS = bytes(32) + bytes(range(32, 256))
+_NOT_SEPARATORS = bytes(range(32, 256))
+_MARK_SEPARATORS = bytes(32) + _NOT_SEPARATORS
+_CYCLE = bytes(SEPARATOR_CODES)
+_PREFIXES = frozenset(OCCUPANT_ALPHABET[:n] for n in range(1, BLOCK_UNITS + 1))
 
 
 class GridFormatError(Exception):
@@ -104,8 +107,8 @@ class GridArtifact(namedtuple(
 
 # stream: the row stream; tail: the odd last byte, or None.
 ParsedHonest = namedtuple("ParsedHonest", "stream tail")
-# block_units: the unit count of each block, in stream order.
-ParsedGrid = namedtuple("ParsedGrid", "stream tail mode block_units")
+# block_count: the number of blocks in the occupant stream.
+ParsedGrid = namedtuple("ParsedGrid", "stream tail mode block_count")
 
 
 def _tail_bytes(tail):
@@ -190,15 +193,18 @@ def _render(block_units, stream, mode):
     occupant = b"".join(pieces)
     if count and block_units[-1] < BLOCK_UNITS:
         occupant = occupant[:-1]
+    last = block_units[-1] if count else 0
+    return occupant, _region(stream, mode, sum(block_units) - last, last)
 
+
+def _region(stream, mode, first, units):
+    """The grid region: the chars of ``units`` units from unit ``first`` at their rows."""
+    per_unit = 1 if mode == MODE_1TT else 4
     region = bytearray(GRID_REGION_BYTES)
-    if count:
-        per_unit = 1 if mode == MODE_1TT else 4
-        first = 2 * per_unit * (sum(block_units) - block_units[-1])
-        size = 2 * per_unit * block_units[-1]
-        for i, r in enumerate(addressing.row_array(stream[first : first + size])):
-            region[r] = OCCUPANT_ALPHABET[i // per_unit]
-    return occupant, region
+    rows = addressing.row_array(stream[2 * per_unit * first : 2 * per_unit * (first + units)])
+    for i, r in enumerate(rows):
+        region[r] = OCCUPANT_ALPHABET[i // per_unit]
+    return region
 
 
 def write_grid(stream, mode, sink, tail=None):
@@ -301,6 +307,22 @@ def _read_tail(reader):
     return tail
 
 
+def _canonical_blocks(occupant):
+    """(block count, units, last block's units) when the occupant stream is
+    exactly _render's output for the blocks its separators delimit, else None."""
+    blocks = occupant.translate(_MARK_SEPARATORS).split(_MARK)
+    closed = not blocks[-1]  # the stream ends with a separator, or is empty
+    if closed:
+        blocks.pop()
+    last = len(blocks[-1]) if blocks else 0
+    separators = occupant.translate(None, _NOT_SEPARATORS)
+    cycles, rest = divmod(len(separators), len(_CYCLE))
+    if (_PREFIXES.issuperset(blocks) and separators == _CYCLE * cycles + _CYCLE[:rest]
+            and (closed == (last == BLOCK_UNITS) or not occupant)):
+        return len(blocks), len(occupant) - len(separators), last
+    return None
+
+
 def _claimed_block_units(occupant, base_offset):
     """Unit count of each block as the occupant stream's separators delimit it.
 
@@ -353,8 +375,9 @@ def _occupant_mismatch(got, want, base_offset):
 def parse_grid(data):
     """Parse a paper-style artifact's bytes; exact inverse of write_grid.
 
-    Renders the occupant stream and the region again and byte-compares
-    them.  Raises GridFormatError naming offset and block on any
+    Accepts the occupant stream only when it is exactly _render's output
+    for its own blocks, and the region only when it is _region of the
+    last block.  Raises GridFormatError naming offset and block on any
     defect: bad magic, separator or ordinal mismatches, channel length
     mismatches, inconsistent grid region, trailing garbage.
     """
@@ -370,7 +393,9 @@ def parse_grid(data):
     occ_len = int.from_bytes(reader.take(8, "occupant length"), "big")
     occ_start = reader.off
     occupant = reader.take(occ_len, "occupant stream")
-    block_units = _claimed_block_units(occupant, occ_start)
+    canonical = _canonical_blocks(occupant)
+    # a rejected stream is rendered from its claimed lengths to name its first defect
+    block_units = None if canonical else _claimed_block_units(occupant, occ_start)
 
     addr_len = int.from_bytes(reader.take(8, "address length"), "big")
     addr_start = reader.off
@@ -384,28 +409,28 @@ def parse_grid(data):
 
     tail = _read_tail(reader)
 
-    want_occupant, want_region = _render(block_units, address, parsed_mode)
-    if occupant != want_occupant:
-        raise _occupant_mismatch(occupant, want_occupant, occ_start)
+    if canonical is None:
+        raise _occupant_mismatch(occupant, _render(block_units, address, parsed_mode)[0], occ_start)
+    block_count, units_seen, last = canonical
     units_expected = pair_count if parsed_mode == MODE_1TT else -(-pair_count // 4)
-    units_seen = sum(block_units)
     if units_seen != units_expected:
         raise GridFormatError(
             f"occupant stream holds {units_seen} units, header implies "
             f"{units_expected}",
             offset=occ_start,
         )
+    want_region = _region(address, parsed_mode, units_seen - last, last)
     if region != want_region:
         slot = _first_difference(region, want_region)
         raise GridFormatError(
             f"grid region inconsistent with channels: slot {slot} holds "
             f"{region[slot]:#04x}, {want_region[slot]:#04x} expected",
             offset=_HEADER_LEN + slot,
-            block=len(block_units) - 1 if block_units else None,
+            block=block_count - 1 if block_count else None,
         )
 
     return ParsedGrid(
-        stream=address, tail=tail, mode=parsed_mode, block_units=block_units
+        stream=address, tail=tail, mode=parsed_mode, block_count=block_count
     )
 
 

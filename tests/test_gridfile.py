@@ -1,4 +1,5 @@
 import io
+import itertools
 import random
 
 import pytest
@@ -180,7 +181,7 @@ def test_collision_restarts_block():
     assert summary.collision_restarts == 1
     parsed = parse_grid(data)
     assert parsed.stream == stream_of([row, row])
-    assert parsed.block_units == [1, 1]
+    assert parsed.block_count == 2
 
 
 def test_4tt_units_share_one_char():
@@ -386,7 +387,7 @@ def test_layout_matches_reference(case):
     assert summary.separator_count == separators
     assert summary.collision_restarts == restarts
     parsed = parse_grid(data)
-    assert parsed.stream == stream_of(rows) and len(parsed.block_units) == blocks
+    assert parsed.stream == stream_of(rows) and parsed.block_count == blocks
 
 
 def corpus_of(kind, size):
@@ -490,3 +491,107 @@ def test_occupant_stream_rejects_truncation():
         with pytest.raises(GridFormatError) as err:
             occupant_stream(data[:cut])
         assert "truncated" in str(err.value) and err.value.offset == cut
+
+
+def with_address_len(data, addr_len):
+    """The artifact with its address-channel length prefix replaced."""
+    at = OCCUPANT_AT + len(occupant_stream(data))
+    return data[:at] + addr_len.to_bytes(8, "big") + data[at + 8 :]
+
+
+def test_empty_block_is_reported_before_the_address_length():
+    data, _ = grid_bytes(list(range(96)))
+    stream = occupant_stream(data)
+    forged = with_address_len(with_occupant(data, stream[:96] + b"\x02" + stream[96:]), 7)
+    with pytest.raises(GridFormatError) as err:
+        parse_grid(forged)
+    assert "separator without preceding occupant chars" in str(err.value)
+    assert err.value.offset == OCCUPANT_AT + 96 and err.value.block == 1
+
+
+def test_ordinal_gap_is_reported_after_the_address_length():
+    data, _ = grid_bytes(list(range(10)))
+    assert occupant_stream(data) == b"abcdefghij"
+    forged = with_address_len(with_occupant(data, b"abddefghij"), 7)
+    with pytest.raises(GridFormatError) as err:
+        parse_grid(forged)
+    assert "address channel length 7 does not match 20" in str(err.value)
+    assert err.value.offset == OCCUPANT_AT + 10 + 8
+
+
+def mutation_cases():
+    """Small artifacts holding a collision restart, a full 95-unit block
+    and a partial final block, in both modes."""
+    rows_1tt = [0, 1, 2, 1] + list(range(100, 195)) + [5, 6, 7]
+    rows_4tt = [0, 1, 2, 3, 4, 5, 6, 0] + list(range(1000, 1376)) + list(range(7, 13))
+    for rows, mode, first, last in ((rows_1tt, MODE_1TT, 3, 4), (rows_4tt, MODE_4TT, 1, 2)):
+        data, summary = grid_bytes(rows, mode=mode)
+        stream = occupant_stream(data)
+        assert summary.collision_restarts == 1
+        assert stream == OCCUPANT_ALPHABET[:first] + b"\x01" + OCCUPANT_ALPHABET + b"\x02" \
+            + OCCUPANT_ALPHABET[:last]
+        yield pytest.param(data, len(stream), id=mode)
+
+
+@pytest.mark.parametrize("data, occ_len", mutation_cases())
+def test_every_occupant_byte_change_is_rejected(data, occ_len):
+    assert parse_grid(data).stream
+    for at in range(OCCUPANT_AT, OCCUPANT_AT + occ_len):
+        for new in {data[at] ^ 1, ord("a"), 1} - {data[at]}:
+            with pytest.raises(GridFormatError):
+                parse_grid(data[:at] + bytes((new,)) + data[at + 1 :])
+
+
+def rendered_block_units(occupant):
+    """The block lengths of an occupant stream that render-and-compare
+    accepts, or None: the parser's check before _canonical_blocks."""
+    try:
+        units = gridfile._claimed_block_units(occupant, 0)
+    except GridFormatError:
+        return None
+    return units if gridfile._render(units, b"", MODE_1TT)[0] == occupant else None
+
+
+def assert_same_verdict(occupant):
+    units = rendered_block_units(occupant)
+    want = None if units is None else (len(units), sum(units), units[-1] if units else 0)
+    assert gridfile._canonical_blocks(occupant) == want, occupant
+
+
+def test_canonical_check_agrees_on_every_short_stream():
+    for n in range(6):
+        for chars in itertools.product(b"abc\x00\x01\x02\x1f\x80", repeat=n):
+            assert_same_verdict(bytes(chars))
+
+
+# bytes next to the ones a rendered stream holds: every separator code, 0,
+# and the first and last ordinals, plus anything else
+nearby_bytes = st.one_of(
+    st.sampled_from(list(range(33)) + list(OCCUPANT_ALPHABET[:3] + OCCUPANT_ALPHABET[-3:]) + [0x80]),
+    st.integers(0, 255),
+)
+
+
+@st.composite
+def rendered_mutations(draw):
+    """A rendered occupant stream of 1-, 2-, 94- and 95-unit blocks, so
+    full and partial final blocks, with one byte changed, deleted or
+    inserted, or none."""
+    lengths = draw(st.lists(st.sampled_from((1, 2, 94, 95)), max_size=40))
+    occupant = gridfile._render(lengths, b"", MODE_1TT)[0]
+    edit = draw(st.sampled_from(("none", "change", "delete", "insert")))
+    if edit == "none" or (edit != "insert" and not occupant):
+        return occupant
+    at = draw(st.integers(0, len(occupant) - (edit != "insert")))
+    new = bytes((draw(nearby_bytes),))
+    return occupant[:at] + (b"" if edit == "delete" else new) + occupant[at + (edit != "insert") :]
+
+
+@settings(max_examples=400, deadline=None)
+@given(rendered_mutations())
+@example(gridfile._render([1] * 33, b"", MODE_1TT)[0])  # the cycle wraps
+@example(gridfile._render([95, 95], b"", MODE_1TT)[0][:-1])  # full final block, no separator
+@example(gridfile._render([95, 94], b"", MODE_1TT)[0] + b"\x02")  # partial, with one
+@example(OCCUPANT_ALPHABET + b"a")  # 96 chars in one block
+def test_canonical_check_agrees_on_mutated_renderings(occupant):
+    assert_same_verdict(occupant)
