@@ -23,15 +23,16 @@ parsers take the artifact's bytes and return one.
 
 One routine (_render) lays out the occupant stream from the unit count
 of each block, and one (_region) the grid region from the last block's
-rows.  The writer finds the block lengths from the row stream's bytes,
-each row's high and low byte keying a table of the block that last
-placed it.  The parser checks that the occupant stream is _render's
+rows.  The writer finds the block lengths with one 65,536-slot table of
+the block that last placed each row, indexed by the row as a native
+16-bit word.  The parser checks that the occupant stream is _render's
 output for its own blocks (by its distinct blocks, not by rendering
 again) but does not derive the lengths from the rows: an early restart
 without a collision, or a repeated row inside a 1tt block, still parses.
 """
 
 from collections import namedtuple
+from itertools import cycle
 from operator import getitem
 
 from . import addressing
@@ -54,22 +55,21 @@ _HEADER_LEN = 4 + 1 + 1 + 8  # magic, version, mode, pair count
 HONEST_OVERHEAD = 4 + 1 + 8 + 1  # magic, version, pair count, tail length
 
 _SEPARATORS = [bytes((code,)) for code in SEPARATOR_CODES]
-# _BLOCKS[n][k]: the chars of an n-unit block and the k-th separator of
-# the cycle after them.
-_BLOCKS = [
-    list(map(OCCUPANT_ALPHABET[:n].__add__, _SEPARATORS)) for n in range(BLOCK_UNITS + 1)
-]
+# _CHARS[n]: the chars of an n-unit block; _PIECES[k][n]: those chars,
+# then the cycle's k-th separator.
+_CHARS = [OCCUPANT_ALPHABET[:n] for n in range(BLOCK_UNITS + 1)]
+_PIECES = [[chars + sep for chars in _CHARS] for sep in _SEPARATORS]
 # Blocks are joined a slice of whole separator cycles at a time: a join
 # allocates an 80-byte record per piece, which for a stream of one-unit
 # blocks would be 40 times the stream itself.
-_PHASES = list(range(len(SEPARATOR_CODES))) * 128
+_CHUNK = len(_PIECES) * 128
 # Every byte below 32 is read as a separator; translating them all to
 # one marker lets a split find the blocks.
 _MARK = b"\x00"
 _NOT_SEPARATORS = bytes(range(32, 256))
 _MARK_SEPARATORS = bytes(32) + _NOT_SEPARATORS
 _CYCLE = bytes(SEPARATOR_CODES)
-_PREFIXES = frozenset(OCCUPANT_ALPHABET[:n] for n in range(1, BLOCK_UNITS + 1))
+_PREFIXES = frozenset(_CHARS[1:])
 
 
 class GridFormatError(Exception):
@@ -120,6 +120,11 @@ def _tail_bytes(tail):
     return bytes((TAIL_MARKER, tail))
 
 
+def _unit_count(pair_count, mode):
+    """Units of a stream of ``pair_count`` rows: one row each, or four (the last maybe fewer)."""
+    return pair_count if mode == MODE_1TT else -(-pair_count // 4)
+
+
 def _pair_count(stream):
     """Rows in a row stream; ValueError unless it holds whole rows."""
     if len(stream) % 2:
@@ -139,62 +144,48 @@ def _block_lengths(stream, mode):
 
     A block closes after 95 units, or early, before a unit with a row
     that an earlier unit placed in the block (a collision restart).
-    last[hi][lo] is the number of the block that last placed the row
-    with bytes hi and lo, so a unit collides exactly when one of its
+    last[w] is the number of the block that last placed the row read as
+    native 16-bit word w, so a unit collides exactly when one of its
     slots holds the current block's number.  A 4tt unit is checked whole
-    before it is marked, so a row repeated inside one unit is no collision.
+    before it is marked: a row repeated inside one unit is no collision.
     """
-    step = 2 if mode == MODE_1TT else 8  # stream bytes per unit
-    partial = len(stream) % step
+    per_unit = 1 if mode == MODE_1TT else 4
+    partial = len(stream) // 2 % per_unit
     if partial:  # fill a partial last unit up with its first row, which cannot collide
-        stream = bytes(stream) + bytes(stream[-partial:][:2]) * ((step - partial) // 2)
-    columns = [stream[i::step] for i in range(step)]
-    last = [[-1] * 256 for _ in range(256)]
+        stream = bytes(stream) + bytes(stream[-2 * partial :][:2]) * (per_unit - partial)
+    words = memoryview(stream).cast("B").cast("H")  # a collision needs no byte order
+    last = [-1] * 65536
     lengths = []
     block = n = 0  # the current block's number and its units so far
-    if step == 2:
-        for hi, lo in zip(*columns):
-            slot = last[hi]
-            if n == BLOCK_UNITS or slot[lo] == block:
+    if per_unit == 1:
+        for w in words:
+            if n == BLOCK_UNITS or last[w] == block:
                 lengths.append(n)
-                block += 1
-                n = 0
-            slot[lo] = block
+                block, n = block + 1, 0
+            last[w] = block
             n += 1
     else:
-        for h0, l0, h1, l1, h2, l2, h3, l3 in zip(*columns):
-            s0, s1, s2, s3 = last[h0], last[h1], last[h2], last[h3]
-            hit = s0[l0] == block or s1[l1] == block or s2[l2] == block or s3[l3] == block
-            if n == BLOCK_UNITS or hit:
+        for w0, w1, w2, w3 in zip(words[0::4], words[1::4], words[2::4], words[3::4]):
+            if n == BLOCK_UNITS or last[w0] == block or last[w1] == block or last[w2] == block \
+                    or last[w3] == block:
                 lengths.append(n)
-                block += 1
-                n = 0
-            s0[l0] = s1[l1] = s2[l2] = s3[l3] = block
+                block, n = block + 1, 0
+            last[w0] = last[w1] = last[w2] = last[w3] = block
             n += 1
     if n:
         lengths.append(n)
     return lengths
 
 
-def _render(block_units, stream, mode):
-    """The occupant stream and the grid region laid out from block lengths.
+def _render(block_units):
+    """The occupant stream of blocks of ``block_units`` units, each count in 1..95.
 
-    ``block_units`` holds the unit count of each block, each in 1..95,
-    and ``stream`` is the row stream.  Every block but the last is closed
-    by the next separator of the cycle; the last keeps its separator
-    only when it is full.  The region holds the chars of the last
-    block's units at their rows' slots.
+    Every block but the last is closed by the next separator of the
+    cycle; the last keeps its separator only when it is full.
     """
-    count = len(block_units)
-    pieces = []
-    for at in range(0, count, len(_PHASES)):
-        blocks = map(_BLOCKS.__getitem__, block_units[at : at + len(_PHASES)])
-        pieces.append(b"".join(map(getitem, blocks, _PHASES)))
-    occupant = b"".join(pieces)
-    if count and block_units[-1] < BLOCK_UNITS:
-        occupant = occupant[:-1]
-    last = block_units[-1] if count else 0
-    return occupant, _region(stream, mode, sum(block_units) - last, last)
+    chunks = (block_units[at : at + _CHUNK] for at in range(0, len(block_units), _CHUNK))
+    occupant = b"".join([b"".join(map(getitem, cycle(_PIECES), chunk)) for chunk in chunks])
+    return occupant[:-1] if block_units and block_units[-1] < BLOCK_UNITS else occupant
 
 
 def _region(stream, mode, first, units):
@@ -219,14 +210,16 @@ def write_grid(stream, mode, sink, tail=None):
     tail_bytes = _tail_bytes(tail)
 
     lengths = _block_lengths(stream, mode)
-    occupant, region = _render(lengths, stream, mode)
+    units = _unit_count(pair_count, mode)
+    last = lengths[-1] if lengths else 0
+    occupant = _render(lengths)
 
     out = bytearray()
     out += GRID_MAGIC
     out.append(VERSION)
     out.append(_MODE_BYTES[mode])
     out += pair_count.to_bytes(8, "big")
-    out += region
+    out += _region(stream, mode, units - last, last)
     out += len(occupant).to_bytes(8, "big")
     out += occupant
     out += len(stream).to_bytes(8, "big")
@@ -234,14 +227,15 @@ def write_grid(stream, mode, sink, tail=None):
     out.append(len(tail_bytes))
     out += tail_bytes
     _emit(sink, out)
-    closed = lengths[:-1]
+    separators = len(occupant) - units
     return GridArtifact(
         mode=mode,
         pair_count=pair_count,
         occupant_len=len(occupant),
-        separator_count=len(occupant) - sum(lengths),
+        separator_count=separators,
         block_count=len(lengths),
-        collision_restarts=len(closed) - closed.count(BLOCK_UNITS),
+        # every full block holds the last alphabet char once and keeps its separator
+        collision_restarts=separators - occupant.count(OCCUPANT_ALPHABET[-1]),
         address_len=len(stream),
         tail_len=len(tail_bytes),
         total_len=len(out),
@@ -349,9 +343,15 @@ def _claimed_block_units(occupant, base_offset):
 
 
 def _first_difference(got, want):
-    """Index of the first byte where two unequal byte strings differ."""
-    pairs = enumerate(zip(got, want))
-    return next((i for i, (a, b) in pairs if a != b), min(len(got), len(want)))
+    """Index of the first byte where two unequal byte strings differ, found by halving."""
+    lo, hi = 0, min(len(got), len(want))  # got[:lo] == want[:lo]; it is at most hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if got[lo : mid + 1] == want[lo : mid + 1]:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def _occupant_mismatch(got, want, base_offset):
@@ -410,9 +410,9 @@ def parse_grid(data):
     tail = _read_tail(reader)
 
     if canonical is None:
-        raise _occupant_mismatch(occupant, _render(block_units, address, parsed_mode)[0], occ_start)
+        raise _occupant_mismatch(occupant, _render(block_units), occ_start)
     block_count, units_seen, last = canonical
-    units_expected = pair_count if parsed_mode == MODE_1TT else -(-pair_count // 4)
+    units_expected = _unit_count(pair_count, parsed_mode)
     if units_seen != units_expected:
         raise GridFormatError(
             f"occupant stream holds {units_seen} units, header implies "

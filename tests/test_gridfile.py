@@ -265,6 +265,23 @@ def test_honest_parse_inverts_write(stream, tail, kind):
     assert parsed.tail == tail
 
 
+@settings(max_examples=60, deadline=None)
+@given(layout_inputs(), st.one_of(st.none(), st.integers(0, 255)))
+@example((list(range(190)), MODE_1TT), None)
+@example((list(range(380)) + [0, 1, 0, 7, 7], MODE_4TT), 3)
+def test_buffer_kinds_write_the_same_artifact(case, tail):
+    # _block_lengths reads a view of its input, so an offset view must
+    # give the same artifact as the bytes it shows
+    rows, mode = case
+    stream = stream_of(rows)
+    written = []
+    for buf in (stream, bytearray(stream), memoryview(stream), memoryview(b"xx" + stream)[2:]):
+        sink = io.BytesIO()
+        summary = write_grid(buf, mode, sink, tail)
+        written.append((sink.getvalue(), summary))
+    assert written == [written[0]] * 4
+
+
 def test_honest_payload_is_rows_plus_tail():
     assert len(honest_bytes(list(range(7)), tail=9)) == 14 + 2 * 7 + 2
 
@@ -377,6 +394,9 @@ def test_honest_errors_name_their_offset():
 @example(([0, 1, 2, 3, 9, 9, 9], MODE_4TT))  # a repeat inside the partial last unit
 @example((list(range(95)) + [94, 0, 95], MODE_1TT))  # the last full block's rows
 @example((list(range(380)) + [379, 0, 1, 2, 3, 380], MODE_4TT))
+@example((list(range(190)), MODE_1TT))  # two full blocks, the last keeps its separator
+@example((list(range(760)), MODE_4TT))
+@example((list(range(382)), MODE_4TT))  # a full block, then a partial unit
 def test_layout_matches_reference(case):
     rows, mode = case
     data, summary = grid_bytes(rows, mode=mode)
@@ -549,7 +569,7 @@ def rendered_block_units(occupant):
         units = gridfile._claimed_block_units(occupant, 0)
     except GridFormatError:
         return None
-    return units if gridfile._render(units, b"", MODE_1TT)[0] == occupant else None
+    return units if gridfile._render(units) == occupant else None
 
 
 def assert_same_verdict(occupant):
@@ -578,7 +598,7 @@ def rendered_mutations(draw):
     full and partial final blocks, with one byte changed, deleted or
     inserted, or none."""
     lengths = draw(st.lists(st.sampled_from((1, 2, 94, 95)), max_size=40))
-    occupant = gridfile._render(lengths, b"", MODE_1TT)[0]
+    occupant = gridfile._render(lengths)
     edit = draw(st.sampled_from(("none", "change", "delete", "insert")))
     if edit == "none" or (edit != "insert" and not occupant):
         return occupant
@@ -589,9 +609,31 @@ def rendered_mutations(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(rendered_mutations())
-@example(gridfile._render([1] * 33, b"", MODE_1TT)[0])  # the cycle wraps
-@example(gridfile._render([95, 95], b"", MODE_1TT)[0][:-1])  # full final block, no separator
-@example(gridfile._render([95, 94], b"", MODE_1TT)[0] + b"\x02")  # partial, with one
+@example(gridfile._render([1] * 33))  # the cycle wraps
+@example(gridfile._render([95, 95])[:-1])  # full final block, no separator
+@example(gridfile._render([95, 94]) + b"\x02")  # partial, with one
 @example(OCCUPANT_ALPHABET + b"a")  # 96 chars in one block
 def test_canonical_check_agrees_on_mutated_renderings(occupant):
     assert_same_verdict(occupant)
+
+
+def first_difference_walk(got, want):
+    """The first differing index by a walk in Python: the reference."""
+    pairs = enumerate(zip(got, want))
+    return next((i for i, (a, b) in pairs if a != b), min(len(got), len(want)))
+
+
+def test_first_difference_matches_a_walk():
+    rng = random.Random(12)
+    for _ in range(3000):
+        got = rng.randbytes(rng.randint(1, 300))
+        case = rng.choice(("changed", "prefix", "first", "last"))
+        if case == "prefix":
+            want = bytearray(got[: rng.randrange(len(got))])
+        else:
+            want = bytearray(got)
+            spots = {"first": [0], "last": [len(got) - 1]}.get(case)
+            for at in spots or rng.sample(range(len(got)), min(len(got), rng.randint(1, 3))):
+                want[at] ^= rng.randint(1, 255)
+        for a, b in ((got, want), (want, got)):
+            assert gridfile._first_difference(a, b) == first_difference_walk(a, b), (case, a, b)
