@@ -18,7 +18,7 @@ import time
 from . import codec, gridfile, metrics, transtable
 from .codec import CompressJob, DecompressJob, ModeMismatchError
 from .gridfile import MODE_1TT, MODE_4TT, GridFormatError
-from .transtable import TtError, TtFormatError, TtSet4
+from .transtable import TtError, TtFormatError
 
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
@@ -41,8 +41,8 @@ def _resolve_tt_path(explicit):
     return None
 
 
-def _load_tables(args, mode):
-    """Load the table (or 4-table set) the command needs."""
+def _load_tables(args):
+    """Load the translation table, which serves every mode."""
     path = _resolve_tt_path(args.tt)
     if path is None:
         print(
@@ -59,8 +59,6 @@ def _load_tables(args, mode):
     except (OSError, TtFormatError) as exc:
         print(f"error: cannot load translation table {path}: {exc}", file=sys.stderr)
         return None
-    if mode == MODE_4TT:
-        return TtSet4((tt, tt, tt, tt))
     return tt
 
 
@@ -107,7 +105,7 @@ def cmd_gen_tt(args):
 
 
 def cmd_compress(args):
-    tables = _load_tables(args, args.mode)
+    tables = _load_tables(args)
     if tables is None:
         return EXIT_NO_TT
     try:
@@ -143,8 +141,7 @@ def cmd_decompress(args):
     if gridfile.artifact_kind(artifact) is None:
         print(f"error: {args.input} is not a recognized artifact", file=sys.stderr)
         return EXIT_BAD_ARTIFACT
-    # The codec reads the mode from the artifact; one table decodes any.
-    tt = _load_tables(args, MODE_1TT)
+    tt = _load_tables(args)
     if tt is None:
         return EXIT_NO_TT
     if not _verified(tt):  # keep verification out of the timed region
@@ -175,7 +172,7 @@ def cmd_decompress(args):
 
 
 def cmd_audit(args):
-    tables = _load_tables(args, MODE_1TT)
+    tables = _load_tables(args)
     if tables is None:
         return EXIT_NO_TT
     report = metrics.pigeonhole_audit(tables)
@@ -221,7 +218,7 @@ def _bench_row(path, tables, mode):
 
 
 def cmd_bench(args):
-    tables = _load_tables(args, args.mode)
+    tables = _load_tables(args)
     if tables is None:
         return EXIT_NO_TT
     if not _verified(tables):

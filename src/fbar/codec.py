@@ -16,7 +16,6 @@ from collections import namedtuple
 
 from . import addressing, gridfile, metrics
 from .gridfile import MODE_1TT, MODE_4TT, GridFormatError
-from .transtable import TtSet4
 
 FORMAT_PAPER = "paper"
 FORMAT_HONEST = "honest"
@@ -24,10 +23,10 @@ FORMATS = (FORMAT_PAPER, FORMAT_HONEST)
 
 
 class ModeMismatchError(Exception):
-    """Artifact mode disagrees with the supplied tables or request."""
+    """Artifact mode disagrees with the requested one."""
 
 
-# tables: a TranslationTable, a TtSet4 exactly when the mode is 4tt.
+# tables: any verified TranslationTable (a TtSet4 is one), for either mode.
 CompressJob = namedtuple(
     "CompressJob", "data tables mode fmt", defaults=(MODE_1TT, FORMAT_PAPER)
 )
@@ -50,9 +49,6 @@ def compress(job: CompressJob) -> CompressResult:
         raise ValueError(f"unknown mode {job.mode!r}")
     if job.fmt not in FORMATS:
         raise ValueError(f"unknown format {job.fmt!r}")
-    if isinstance(job.tables, TtSet4) != (job.mode == MODE_4TT):
-        wants = "a 4-table set" if job.mode == MODE_4TT else "a single table"
-        raise ModeMismatchError(f"{job.mode} mode takes {wants}")
     job.tables.ensure_verified()
     layout = job.tables.layout
 
@@ -89,9 +85,8 @@ def decompress(job: DecompressJob) -> bytes:
     """Reconstruct the original input; bit-identical to what was compressed."""
     kind = gridfile.artifact_kind(job.artifact)
     if kind is None:
-        raise GridFormatError(
-            f"unrecognized artifact magic {bytes(job.artifact[:4])!r}", offset=0
-        )
+        magic = bytes(job.artifact[: len(gridfile.GRID_MAGIC)])
+        raise GridFormatError(f"unrecognized artifact magic {magic!r}", offset=0)
     if kind == "paper":
         parsed = gridfile.parse_grid(job.artifact)
         if job.mode is not None and parsed.mode != job.mode:

@@ -1,14 +1,12 @@
 """Grid artifact serialization: the compressed file formats.
 
-Paper-style format (magic FBGR): header, a fixed 64 KiB grid region, an
-occupant-char stream with block separators, an explicit address channel
-(2 bytes per row) and an optional odd-byte tail.  The occupant stream
-is the nominally accounted payload; the address channel is what
-actually makes the artifact decodable and is reported as the honest
-payload, never hidden.
-
-Honest format (magic FBHN): header, the row stream, the tail.  Nothing
-else; decodable with a translation table alone.
+_PAPER_FIELDS (magic FBGR) and _HONEST_FIELDS (magic FBHN) declare the
+two formats field by field, for one packer (_pack) and one reader
+(_Reader).  The paper format's occupant stream is the nominally
+accounted payload; its address channel is what actually makes the
+artifact decodable and is reported as the honest payload, never hidden.
+The honest format holds the row stream and the tail, nothing else, and
+decodes with a translation table alone.
 
 Inside the occupant stream, the n-th unit of a block is tagged with the
 n-th character of the 95-char occupant alphabet, so each char encodes
@@ -50,9 +48,30 @@ MODE_1TT = "1tt"
 MODE_4TT = "4tt"
 _MODE_BYTES = {MODE_1TT: 1, MODE_4TT: 4}
 _MODE_NAMES = {v: k for k, v in _MODE_BYTES.items()}
+_KINDS = {GRID_MAGIC: "paper", HONEST_MAGIC: "honest"}
 
-_HEADER_LEN = 4 + 1 + 1 + 8  # magic, version, mode, pair count
-HONEST_OVERHEAD = 4 + 1 + 8 + 1  # magic, version, pair count, tail length
+
+class _Channel(int):
+    """A channel's size: the width of the length written before its bytes."""
+
+
+# Each format's fields in file order: (name, size).  A field of plain int
+# size is that many bytes: the magic, a big-endian number or the grid
+# region.  A channel is its bytes behind a big-endian length that size
+# wide; the row stream's is not written (size 0), it is twice the pair count.
+_PAPER_FIELDS = (
+    ("magic", 4), ("version", 1), ("mode", 1), ("pair count", 8),
+    ("grid region", GRID_REGION_BYTES),
+    ("occupant stream", _Channel(8)),
+    ("address channel", _Channel(8)),
+    ("tail", _Channel(1)),
+)
+_HONEST_FIELDS = (
+    ("magic", 4), ("version", 1), ("pair count", 8),
+    ("row stream", _Channel(0)),
+    ("tail", _Channel(1)),
+)
+HONEST_OVERHEAD = sum(size for _, size in _HONEST_FIELDS)
 
 _SEPARATORS = [bytes((code,)) for code in SEPARATOR_CODES]
 # _CHARS[n]: the chars of an n-unit block; _PIECES[k][n]: those chars,
@@ -113,11 +132,7 @@ ParsedGrid = namedtuple("ParsedGrid", "stream tail mode block_count")
 
 def _tail_bytes(tail):
     """The serialized tail: nothing, or the marker and the odd last byte."""
-    if tail is None:
-        return b""
-    if not 0 <= tail <= 0xFF:
-        raise ValueError(f"tail byte out of range: {tail!r}")
-    return bytes((TAIL_MARKER, tail))
+    return b"" if tail is None else bytes((TAIL_MARKER, tail))  # ValueError past 0xFF
 
 
 def _unit_count(pair_count, mode):
@@ -132,11 +147,19 @@ def _pair_count(stream):
     return len(stream) // 2
 
 
-def _emit(sink, out):
+def _pack(sink, fields, values):
+    """Write one artifact, a value per field; returns its length.  A number
+    goes big-endian into its field; a channel's bytes follow their length."""
+    out = bytearray()
+    for (_, size), value in zip(fields, values):
+        if isinstance(size, _Channel) and size:
+            out += len(value).to_bytes(size, "big")
+        out += value.to_bytes(size, "big") if isinstance(value, int) else value
     try:
         sink.write(bytes(out))
     except OSError as exc:
         raise GridFormatError(f"sink write failed: {exc}") from exc
+    return len(out)
 
 
 def _block_lengths(stream, mode):
@@ -201,11 +224,12 @@ def _region(stream, mode, first, units):
 def write_grid(stream, mode, sink, tail=None):
     """Write a paper-style artifact; returns a GridArtifact summary.
 
-    ``stream`` is the row stream, any bytes-like object; it becomes the
-    address channel as it is.  ValueError if its length is odd.
+    ``stream`` is the row stream, any bytes-like object taken as bytes;
+    it becomes the address channel as it is.  ValueError if odd-sized.
     """
     if mode not in _MODE_BYTES:
         raise ValueError(f"unknown mode {mode!r}")
+    stream = memoryview(stream).cast("B")
     pair_count = _pair_count(stream)
     tail_bytes = _tail_bytes(tail)
 
@@ -213,20 +237,9 @@ def write_grid(stream, mode, sink, tail=None):
     units = _unit_count(pair_count, mode)
     last = lengths[-1] if lengths else 0
     occupant = _render(lengths)
-
-    out = bytearray()
-    out += GRID_MAGIC
-    out.append(VERSION)
-    out.append(_MODE_BYTES[mode])
-    out += pair_count.to_bytes(8, "big")
-    out += _region(stream, mode, units - last, last)
-    out += len(occupant).to_bytes(8, "big")
-    out += occupant
-    out += len(stream).to_bytes(8, "big")
-    out += stream
-    out.append(len(tail_bytes))
-    out += tail_bytes
-    _emit(sink, out)
+    region = _region(stream, mode, units - last, last)
+    total = _pack(sink, _PAPER_FIELDS, (GRID_MAGIC, VERSION, _MODE_BYTES[mode], pair_count,
+                                        region, occupant, stream, tail_bytes))
     separators = len(occupant) - units
     return GridArtifact(
         mode=mode,
@@ -238,67 +251,67 @@ def write_grid(stream, mode, sink, tail=None):
         collision_restarts=separators - occupant.count(OCCUPANT_ALPHABET[-1]),
         address_len=len(stream),
         tail_len=len(tail_bytes),
-        total_len=len(out),
+        total_len=total,
     )
 
 
 def write_honest(stream, sink, tail=None):
-    """Write a self-contained artifact from a row stream; returns bytes written."""
-    pair_count = _pair_count(stream)
-    tail_bytes = _tail_bytes(tail)
-    out = bytearray()
-    out += HONEST_MAGIC
-    out.append(VERSION)
-    out += pair_count.to_bytes(8, "big")
-    out += stream
-    out.append(len(tail_bytes))
-    out += tail_bytes
-    _emit(sink, out)
-    return len(out)
+    """Write a self-contained artifact from a row stream, taken as bytes; returns bytes written."""
+    stream = memoryview(stream).cast("B")
+    return _pack(sink, _HONEST_FIELDS, (HONEST_MAGIC, VERSION, _pair_count(stream), stream,
+                                        _tail_bytes(tail)))
 
 
 class _Reader:
-    def __init__(self, data):
-        self.data = data
-        self.off = 0
+    """One artifact's fields in its format's table order, each checked whole;
+    ``at`` is the offset of the last one's bytes, after any length."""
 
-    def take(self, n, what):
+    def __init__(self, data, fields, magic):
+        self.data, self.fields, self.off = bytes(data), iter(fields), 0
+        found = self.next()
+        if found != magic:
+            raise GridFormatError(f"bad magic {found!r}", offset=self.at)
+
+    def _take(self, n, what):
         if len(self.data) - self.off < n:
             raise GridFormatError(f"truncated in {what}", offset=len(self.data))
-        chunk = self.data[self.off : self.off + n]
-        self.off += n
-        return chunk
+        self.at, self.off = self.off, self.off + n
+        return self.data[self.at : self.off]
 
-
-def _open(data, magic):
-    """Reader over the artifact, positioned after its checked magic and version."""
-    reader = _Reader(bytes(data))
-    found = reader.take(4, "magic")
-    if found != magic:
-        raise GridFormatError(f"bad magic {bytes(found)!r}", offset=0)
-    version = reader.take(1, "version")[0]
-    if version != VERSION:
-        raise GridFormatError(f"unsupported version {version}", offset=4)
-    return reader
-
-
-def _read_tail(reader):
-    """The optional odd-byte tail, which must end the artifact."""
-    tail_start = reader.off
-    tail_len = reader.take(1, "tail length")[0]
-    tail = None
-    if tail_len:
-        if tail_len != 2:
-            raise GridFormatError(f"bad tail length {tail_len}", offset=tail_start)
-        tail_bytes = reader.take(2, "tail")
-        if tail_bytes[0] != TAIL_MARKER:
+    def next(self, expected=None):
+        """The next field's bytes.  A channel's written length must be
+        ``expected`` when given; an unwritten one is ``expected``."""
+        name, size = next(self.fields)
+        if not isinstance(size, _Channel):
+            return self._take(size, name)
+        length = int.from_bytes(self._take(size, f"{name} length"), "big") if size else expected
+        if expected is not None and length != expected:
             raise GridFormatError(
-                f"bad tail marker {tail_bytes[0]:#04x}", offset=tail_start + 1
+                f"{name} length {length} does not match {expected}", offset=self.off
             )
-        tail = tail_bytes[1]
-    if reader.off != len(reader.data):
-        raise GridFormatError("trailing garbage after tail", offset=reader.off)
-    return tail
+        return self._take(length, name)
+
+    def number(self, expected=None):
+        """The next field, a big-endian number; it must be ``expected`` when given."""
+        name, size = next(self.fields)
+        value = int.from_bytes(self._take(size, name), "big")
+        if expected is not None and value != expected:
+            raise GridFormatError(f"unsupported {name} {value}", offset=self.at)
+        return value
+
+    def tail(self):
+        """The last field, the odd-byte tail (its byte, or None), which
+        ends the artifact: its length is 0 or 2, the marker and the byte."""
+        name, size = next(self.fields)
+        tail_len = int.from_bytes(self._take(size, f"{name} length"), "big")
+        if tail_len not in (0, 2):
+            raise GridFormatError(f"bad tail length {tail_len}", offset=self.at)
+        tail = self._take(tail_len, name)
+        if tail and tail[0] != TAIL_MARKER:
+            raise GridFormatError(f"bad tail marker {tail[0]:#04x}", offset=self.at)
+        if self.off != len(self.data):
+            raise GridFormatError("trailing garbage after tail", offset=self.off)
+        return tail[1] if tail else None
 
 
 def _canonical_blocks(occupant):
@@ -381,33 +394,25 @@ def parse_grid(data):
     defect: bad magic, separator or ordinal mismatches, channel length
     mismatches, inconsistent grid region, trailing garbage.
     """
-    reader = _open(data, GRID_MAGIC)
-    mode_byte = reader.take(1, "mode")[0]
+    reader = _Reader(data, _PAPER_FIELDS, GRID_MAGIC)
+    reader.number(VERSION)
+    mode_byte = reader.number()
     parsed_mode = _MODE_NAMES.get(mode_byte)
     if parsed_mode is None:
-        raise GridFormatError(f"unknown mode byte {mode_byte}", offset=5)
-    pair_count = int.from_bytes(reader.take(8, "pair count"), "big")
+        raise GridFormatError(f"unknown mode byte {mode_byte}", offset=reader.at)
+    pair_count = reader.number()
 
-    region = reader.take(GRID_REGION_BYTES, "grid region")
+    region = reader.next()
+    region_start = reader.at
 
-    occ_len = int.from_bytes(reader.take(8, "occupant length"), "big")
-    occ_start = reader.off
-    occupant = reader.take(occ_len, "occupant stream")
+    occupant = reader.next()
+    occ_start = reader.at
     canonical = _canonical_blocks(occupant)
     # a rejected stream is rendered from its claimed lengths to name its first defect
     block_units = None if canonical else _claimed_block_units(occupant, occ_start)
 
-    addr_len = int.from_bytes(reader.take(8, "address length"), "big")
-    addr_start = reader.off
-    if addr_len != 2 * pair_count:
-        raise GridFormatError(
-            f"address channel length {addr_len} does not match "
-            f"{2 * pair_count} for {pair_count} pairs",
-            offset=addr_start,
-        )
-    address = reader.take(addr_len, "address channel")
-
-    tail = _read_tail(reader)
+    address = reader.next(2 * pair_count)
+    tail = reader.tail()
 
     if canonical is None:
         raise _occupant_mismatch(occupant, _render(block_units), occ_start)
@@ -425,7 +430,7 @@ def parse_grid(data):
         raise GridFormatError(
             f"grid region inconsistent with channels: slot {slot} holds "
             f"{region[slot]:#04x}, {want_region[slot]:#04x} expected",
-            offset=_HEADER_LEN + slot,
+            offset=region_start + slot,
             block=block_count - 1 if block_count else None,
         )
 
@@ -436,27 +441,21 @@ def parse_grid(data):
 
 def parse_honest(data):
     """Parse a self-contained artifact's bytes; exact inverse of write_honest."""
-    reader = _open(data, HONEST_MAGIC)
-    pair_count = int.from_bytes(reader.take(8, "pair count"), "big")
-    body = reader.take(2 * pair_count, "row stream")
-    tail = _read_tail(reader)
-    return ParsedHonest(stream=body, tail=tail)
+    reader = _Reader(data, _HONEST_FIELDS, HONEST_MAGIC)
+    reader.number(VERSION)
+    stream = reader.next(2 * reader.number())
+    return ParsedHonest(stream=stream, tail=reader.tail())
 
 
 def artifact_kind(data):
     """Classify raw artifact bytes by magic: 'paper', 'honest' or None."""
-    if data[:4] == GRID_MAGIC:
-        return "paper"
-    if data[:4] == HONEST_MAGIC:
-        return "honest"
-    return None
+    return _KINDS.get(bytes(data[: len(GRID_MAGIC)]))
 
 
 def occupant_stream(data):
     """Raw occupant stream of paper-format bytes; checks magic and truncation only."""
-    if data[:4] != GRID_MAGIC:
-        raise GridFormatError(f"bad magic {bytes(data[:4])!r}", offset=0)
-    reader = _Reader(data)
-    reader.take(_HEADER_LEN + GRID_REGION_BYTES, "header and grid region")
-    occ_len = int.from_bytes(reader.take(8, "occupant length"), "big")
-    return bytes(reader.take(occ_len, "occupant stream"))
+    reader = _Reader(data, _PAPER_FIELDS, GRID_MAGIC)
+    for name, _ in _PAPER_FIELDS[1:]:
+        field = reader.next()
+        if name == "occupant stream":
+            return field

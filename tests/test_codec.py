@@ -140,11 +140,15 @@ def test_roundtrip_low_entropy_collisions(data):
     assert restored == repeated
 
 
-def test_mode_table_mismatch(tt, set4):
-    with pytest.raises(ModeMismatchError):
-        compress(CompressJob(data=b"xx", tables=set4, mode=MODE_1TT))
-    with pytest.raises(ModeMismatchError):
-        compress(CompressJob(data=b"xx", tables=tt, mode=MODE_4TT))
+def test_any_table_compresses_in_either_mode(tt, set4):
+    # a TtSet4 holds the one mapping, so it writes the plain table's bytes
+    data = bytes(range(256)) * 2 + b"odd"
+    for mode in (MODE_1TT, MODE_4TT):
+        for fmt in codec.FORMATS:
+            plain = compress(CompressJob(data=data, tables=tt, mode=mode, fmt=fmt)).artifact
+            four = compress(CompressJob(data=data, tables=set4, mode=mode, fmt=fmt)).artifact
+            assert plain == four
+            assert decompress(DecompressJob(artifact=plain, tables=tt)) == data
 
 
 def test_decompress_requested_mode_mismatch(tt):

@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -271,15 +272,22 @@ def test_honest_parse_inverts_write(stream, tail, kind):
 @example((list(range(380)) + [0, 1, 0, 7, 7], MODE_4TT), 3)
 def test_buffer_kinds_write_the_same_artifact(case, tail):
     # _block_lengths reads a view of its input, so an offset view must
-    # give the same artifact as the bytes it shows
+    # give the same artifact as the bytes it shows; a buffer of 2-byte
+    # items is measured in bytes, not items
     rows, mode = case
     stream = stream_of(rows)
+    halfwords = array("H")
+    halfwords.frombytes(stream)
+    buffers = (stream, bytearray(stream), memoryview(stream), memoryview(b"xx" + stream)[2:],
+               halfwords, memoryview(halfwords))
     written = []
-    for buf in (stream, bytearray(stream), memoryview(stream), memoryview(b"xx" + stream)[2:]):
-        sink = io.BytesIO()
-        summary = write_grid(buf, mode, sink, tail)
-        written.append((sink.getvalue(), summary))
-    assert written == [written[0]] * 4
+    for buf in buffers:
+        grid, honest = io.BytesIO(), io.BytesIO()
+        summary = write_grid(buf, mode, grid, tail)
+        total = write_honest(buf, honest, tail)
+        written.append((grid.getvalue(), summary, honest.getvalue(), total))
+    assert written == [written[0]] * len(buffers)
+    assert parse_honest(written[0][2]).stream == stream
 
 
 def test_honest_payload_is_rows_plus_tail():
@@ -365,11 +373,18 @@ def test_odd_length_stream_rejected_on_write():
 
 
 def test_honest_errors_name_their_offset():
+    # every strict prefix of a small artifact of either format, in both
+    # modes, with and without a tail, is truncated where it ends
+    rows = [0, 1, 2, 1, 5, 6, 7, 8, 9]
+    artifacts = [(parse_honest, honest_bytes(rows, tail)) for tail in (None, 0x41)]
+    artifacts += [(parse_grid, grid_bytes(rows, mode, tail)[0])
+                  for mode in (MODE_1TT, MODE_4TT) for tail in (None, 0x41)]
+    for parse, whole in artifacts:
+        for cut in range(len(whole)):
+            with pytest.raises(GridFormatError) as err:
+                parse(whole[:cut])
+            assert "truncated" in str(err.value) and err.value.offset == cut
     data = honest_bytes(list(range(10)), tail=0x41)
-    for cut in (3, 13, 20, len(data) - 1):  # magic, row count, rows, tail
-        with pytest.raises(GridFormatError) as err:
-            parse_honest(data[:cut])
-        assert "truncated" in str(err.value) and err.value.offset == cut
     with pytest.raises(GridFormatError) as err:
         parse_honest(data + b"zz")
     assert "trailing" in str(err.value) and err.value.offset == len(data)
@@ -378,6 +393,27 @@ def test_honest_errors_name_their_offset():
     with pytest.raises(GridFormatError) as err:
         parse_honest(bytes(bad))
     assert "marker" in str(err.value) and err.value.offset == len(data) - 2
+
+
+@pytest.mark.parametrize("tail", (None, 0x41))
+def test_header_and_tail_length_errors_name_their_offset(tail):
+    rows = list(range(10))
+    honest = honest_bytes(rows, tail)
+    grid = grid_bytes(rows, MODE_4TT, tail)[0]
+    tail_len_at = -3 if tail is not None else -1
+    for parse, data in ((parse_honest, honest), (parse_grid, grid)):
+        for at, new, what in ((4, 2, "unsupported version 2"),
+                              (len(data) + tail_len_at, 1, "bad tail length 1")):
+            bad = bytearray(data)
+            bad[at] = new
+            with pytest.raises(GridFormatError) as err:
+                parse(bytes(bad))
+            assert what in str(err.value) and err.value.offset == at % len(data)
+    bad = bytearray(grid)
+    bad[5] = 2
+    with pytest.raises(GridFormatError) as err:
+        parse_grid(bytes(bad))
+    assert "unknown mode byte 2" in str(err.value) and err.value.offset == 5
 
 
 @settings(max_examples=150, deadline=None)
