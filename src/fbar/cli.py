@@ -1,5 +1,10 @@
 """Command-line surface: gen-tt, compress, decompress, audit, bench, entropy.
 
+Each command's arguments are declared once, in ``_COMMANDS``.  A plain
+command line is read straight from that table.  argparse is imported, and
+builds its parser from the same table, only for help and for lines that
+need its rules or its usage errors, so its help text and messages stay.
+
 Exit codes:
     0  success
     1  audit or verification failure
@@ -10,7 +15,6 @@ Exit codes:
     6  input file unreadable
 """
 
-import argparse
 import os
 import sys
 import time
@@ -305,91 +309,144 @@ def _terminal_width():
     return columns or 80
 
 
-class _HelpFormatter(argparse.HelpFormatter):
+def _HelpFormatter(prog, width=None, **kwargs):
     """argparse's help formatter, given its width.
 
     Left to find the width itself, argparse imports shutil (and with it
     zlib, bz2, lzma and fnmatch) in every process that builds a parser.
     """
+    import argparse
 
-    def __init__(self, prog, **kwargs):
-        if kwargs.get("width") is None:
-            kwargs["width"] = _terminal_width() - 2  # argparse's own margin
-        super().__init__(prog, **kwargs)
+    if width is None:
+        width = _terminal_width() - 2  # argparse's own margin
+    return argparse.HelpFormatter(prog, width=width, **kwargs)
+
+
+_LAYOUT = ("--layout", {
+    "choices": ("interleaved", "grouped"), "default": "interleaved",
+    "help": "address coordinate layout (must match end to end)",
+})
+_REPORT = ("--report", {"choices": ("table", "kv"), "default": "table", "help": "report rendering"})
+_COMMON = (
+    ("--tt", {"help": f"translation table file (default ${TT_DIR_ENV}/{_TT_BASENAME})"}),
+    _LAYOUT,
+    _REPORT,
+)
+_MODE = ("--mode", {"choices": (MODE_1TT, MODE_4TT), "default": MODE_1TT})
+_FILES = ("files", {"nargs": "+"})
+
+# Every command's summary, handler and arguments, each argument as the
+# name and keywords that argparse's add_argument takes. build_parser hands
+# them to argparse; _parse_fast reads them without it.
+_COMMANDS = {
+    "gen-tt": ("generate translation table file(s)", cmd_gen_tt, (
+        ("--out", {"help": f"output directory (default ${TT_DIR_ENV} or .)"}),
+        ("--format", {"choices": ("text", "binary"), "default": "binary"}),
+        ("--count", {"type": int, "choices": (1, 4), "default": 1}),
+        _LAYOUT,
+        _REPORT,
+    )),
+    "compress": ("compress a file", cmd_compress, (
+        ("input", {}),
+        ("--out", {"help": "artifact path (default INPUT.fbar)"}),
+        _MODE,
+        ("--format", {"choices": codec.FORMATS, "default": codec.FORMAT_PAPER}),
+        *_COMMON,
+    )),
+    "decompress": ("decompress an artifact", cmd_decompress, (
+        ("input", {}),
+        ("--out", {"help": "output path (default strips .fbar)"}),
+        ("--mode", {
+            "choices": (MODE_1TT, MODE_4TT), "default": None,
+            "help": "require this mode; error if the artifact disagrees",
+        }),
+        *_COMMON,
+    )),
+    "audit": ("audit a translation table", cmd_audit, _COMMON),
+    "bench": ("measure the codec over a corpus", cmd_bench, (_FILES, _MODE, *_COMMON)),
+    "entropy": ("order-0 entropy of files", cmd_entropy, (_FILES,)),
+}
 
 
 def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fbar",
         description="Fixed-codebook bit-pair codec with honest accounting.",
         formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name, summary):
-        return sub.add_parser(name, help=summary, formatter_class=_HelpFormatter)
-
-    def add_common(p, tt=True):
-        if tt:
-            p.add_argument("--tt", help=f"translation table file (default ${TT_DIR_ENV}/{_TT_BASENAME})")
-        p.add_argument(
-            "--layout", choices=("interleaved", "grouped"), default="interleaved",
-            help="address coordinate layout (must match end to end)",
-        )
-        p.add_argument(
-            "--report", choices=("table", "kv"), default="table",
-            help="report rendering",
-        )
-
-    p = add_command("gen-tt", "generate translation table file(s)")
-    p.add_argument("--out", help=f"output directory (default ${TT_DIR_ENV} or .)")
-    p.add_argument("--format", choices=("text", "binary"), default="binary")
-    p.add_argument("--count", type=int, choices=(1, 4), default=1)
-    add_common(p, tt=False)
-    p.set_defaults(func=cmd_gen_tt)
-
-    p = add_command("compress", "compress a file")
-    p.add_argument("input")
-    p.add_argument("--out", help="artifact path (default INPUT.fbar)")
-    p.add_argument("--mode", choices=(MODE_1TT, MODE_4TT), default=MODE_1TT)
-    p.add_argument("--format", choices=codec.FORMATS, default=codec.FORMAT_PAPER)
-    add_common(p)
-    p.set_defaults(func=cmd_compress)
-
-    p = add_command("decompress", "decompress an artifact")
-    p.add_argument("input")
-    p.add_argument("--out", help="output path (default strips .fbar)")
-    p.add_argument(
-        "--mode", choices=(MODE_1TT, MODE_4TT), default=None,
-        help="require this mode; error if the artifact disagrees",
-    )
-    add_common(p)
-    p.set_defaults(func=cmd_decompress)
-
-    p = add_command("audit", "audit a translation table")
-    add_common(p)
-    p.set_defaults(func=cmd_audit)
-
-    p = add_command("bench", "measure the codec over a corpus")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--mode", choices=(MODE_1TT, MODE_4TT), default=MODE_1TT)
-    add_common(p)
-    p.set_defaults(func=cmd_bench)
-
-    p = add_command("entropy", "order-0 entropy of files")
-    p.add_argument("files", nargs="+")
-    p.set_defaults(func=cmd_entropy)
-
+    for command, (summary, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary, formatter_class=_HelpFormatter)
+        for name, kwargs in arguments:
+            p.add_argument(name, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
+class _Namespace:
+    """The attributes argparse's Namespace holds, without importing argparse."""
+
+    def __init__(self, values):
+        self.__dict__.update(values)
+
+
+def _parse_fast(argv):
+    """What build_parser().parse_args(argv) returns, for argv in plain form.
+
+    The plain form is ``COMMAND (POSITIONAL | --FLAG VALUE)*``: every flag
+    spelled in full, no other token starting with "-", each value of the
+    argument's type and among its choices, and the positionals one run of
+    the count their nargs takes.  Anything else (help, ``--flag=value``,
+    abbreviations, ``--``, a missing or bad value) returns None, and
+    argparse parses it, with its own help, messages and exit status.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    flags = {name: (name[2:].replace("-", "_"), kw) for name, kw in arguments if name[0] == "-"}
+    values = {dest: kw.get("default") for dest, kw in flags.values()}
+    given, closed = [], False
+    rest = iter(argv[1:])
+    for token in rest:
+        if token in flags:
+            dest, kw = flags[token]
+            value = next(rest, "-")  # a missing value reads as "-"
+            if value[:1] == "-":
+                return None
+            try:
+                value = kw.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in kw.get("choices", (value,)):
+                return None
+            values[dest], closed = value, bool(given)
+        elif token[:1] == "-" or closed:
+            return None  # an option, or a run of positionals split by one
+        else:
+            given.append(token)
+    positional = [(name, kw.get("nargs")) for name, kw in arguments if name[0] != "-"]
+    if len(positional) != bool(given):
+        return None  # a positional missing, or one that no argument takes
+    for name, nargs in positional:  # no command takes two
+        if nargs != "+" and len(given) != 1:
+            return None
+        values[name] = given if nargs == "+" else given[0]
+    values.update(command=argv[0], func=func)
+    return _Namespace(values)
+
+
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already
-        return exc.code if exc.code is not None else EXIT_USAGE
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_fast(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors already
+            return exc.code if exc.code is not None else EXIT_USAGE
     return args.func(args)
 
 

@@ -17,6 +17,7 @@ from fbar.codec import (
     roundtrip,
 )
 from fbar.gridfile import MODE_1TT, MODE_4TT
+from test_gridfile import HONEST_HEADER_LEN
 
 
 def test_resolved_1tt_paper(tt):
@@ -77,7 +78,7 @@ def test_honest_payload_for_at_dollar(tt):
     # payload is exactly the big-endian row of address (12,12,11,15)
     result = compress(CompressJob(data=b"@$", tables=tt, fmt=FORMAT_HONEST))
     row = addressing.row_of_address((12, 12, 11, 15))
-    payload = result.artifact[13:15]  # after magic, version, pair count
+    payload = result.artifact[HONEST_HEADER_LEN : HONEST_HEADER_LEN + 2]
     assert payload == row.to_bytes(2, "big")
     assert result.report.honest_size == 2
 

@@ -50,7 +50,31 @@ def honest_bytes(rows, tail=None):
     return sink.getvalue()
 
 
-OCCUPANT_AT = 14 + GRID_REGION_BYTES + 8  # offset of the occupant stream
+# Where the artifact fields start, spelled once for these tests and
+# test_codec; test_named_offsets_match_the_field_tables derives them from
+# gridfile's field tables.
+PAPER_HEADER_LEN = 14  # magic, version, mode, pair count
+REGION = slice(PAPER_HEADER_LEN, PAPER_HEADER_LEN + GRID_REGION_BYTES)
+OCCUPANT_AT = REGION.stop + 8  # the occupant stream, after its length prefix
+HONEST_HEADER_LEN = 13  # magic, version, pair count: where the row stream starts
+
+
+def _field_starts(fields):
+    """Each field's offset, as far as the first channel's contents."""
+    starts, at = {}, 0
+    for name, size in fields:
+        starts[name] = at
+        at += size
+    return starts
+
+
+def test_named_offsets_match_the_field_tables():
+    paper, sizes = _field_starts(gridfile._PAPER_FIELDS), dict(gridfile._PAPER_FIELDS)
+    assert PAPER_HEADER_LEN == paper["grid region"]
+    assert REGION == slice(paper["grid region"], paper["occupant stream"])
+    assert OCCUPANT_AT == paper["occupant stream"] + sizes["occupant stream"]
+    honest, sizes = _field_starts(gridfile._HONEST_FIELDS), dict(gridfile._HONEST_FIELDS)
+    assert HONEST_HEADER_LEN == honest["row stream"] + sizes["row stream"]
 
 
 def with_occupant(data, occupant):
@@ -126,7 +150,7 @@ def test_resolved_stream_and_region():
     rows = rows_for("resolved")
     data, summary = grid_bytes(rows)
     assert occupant_stream(data) == b"abcd"
-    region = data[14 : 14 + GRID_REGION_BYTES]
+    region = data[REGION]
     for row, char in zip(rows, b"abcd"):
         assert region[row] == char
     zeroed = sum(1 for b in region if b == 0)
@@ -170,7 +194,7 @@ def test_empty_input():
     assert occupant_stream(data) == b""
     assert summary.occupant_len == 0
     assert summary.honest_payload_size == 0
-    assert set(data[14 : 14 + GRID_REGION_BYTES]) == {0}
+    assert set(data[REGION]) == {0}
     parsed = parse_grid(data)
     assert parsed.stream == b"" and parsed.tail is None
 
@@ -189,7 +213,7 @@ def test_4tt_units_share_one_char():
     rows = list(range(8))  # two 4-row chunks
     data, summary = grid_bytes(rows, mode=MODE_4TT)
     assert occupant_stream(data) == b"ab"
-    region = data[14 : 14 + GRID_REGION_BYTES]
+    region = data[REGION]
     assert [region[r] for r in rows[:4]] == [ord("a")] * 4
     assert [region[r] for r in rows[4:]] == [ord("b")] * 4
     parsed = parse_grid(data)
@@ -223,7 +247,7 @@ def test_grid_region_is_always_64k():
         data, summary = grid_bytes(rows, tail=tail)
         occ = summary.occupant_len
         addr = summary.address_len
-        expected = 14 + GRID_REGION_BYTES + 8 + occ + 8 + addr + 1 + summary.tail_len
+        expected = OCCUPANT_AT + occ + 8 + addr + 1 + summary.tail_len
         assert len(data) == expected == summary.total_len
         assert parse_grid(data).stream == stream_of(rows)
 
@@ -291,7 +315,8 @@ def test_buffer_kinds_write_the_same_artifact(case, tail):
 
 
 def test_honest_payload_is_rows_plus_tail():
-    assert len(honest_bytes(list(range(7)), tail=9)) == 14 + 2 * 7 + 2
+    # the rows, the tail's length byte and the tail's two bytes
+    assert len(honest_bytes(list(range(7)), tail=9)) == HONEST_HEADER_LEN + 2 * 7 + 1 + 2
 
 
 def test_parse_rejects_bad_magic():
@@ -302,11 +327,10 @@ def test_parse_rejects_bad_magic():
 
 def test_deleted_occupant_char_is_an_ordinal_gap():
     data, _ = grid_bytes(list(range(10)))
-    stream_at = 14 + GRID_REGION_BYTES + 8
     # drop the third occupant char and patch the length prefix
     buf = bytearray(data)
-    del buf[stream_at + 2]
-    buf[14 + GRID_REGION_BYTES : stream_at] = (9).to_bytes(8, "big")
+    del buf[OCCUPANT_AT + 2]
+    buf[REGION.stop : OCCUPANT_AT] = (9).to_bytes(8, "big")
     with pytest.raises(GridFormatError) as err:
         parse_grid(bytes(buf))
     assert "ordinal" in str(err.value)
@@ -315,9 +339,8 @@ def test_deleted_occupant_char_is_an_ordinal_gap():
 
 def test_truncated_address_channel_is_length_mismatch():
     data, _ = grid_bytes(list(range(10)))
-    stream_at = 14 + GRID_REGION_BYTES + 8
     occ_len = 10
-    addr_len_at = stream_at + occ_len
+    addr_len_at = OCCUPANT_AT + occ_len
     buf = bytearray(data)
     buf[addr_len_at : addr_len_at + 8] = (18).to_bytes(8, "big")
     del buf[addr_len_at + 8 + 18 : addr_len_at + 8 + 20]
@@ -328,10 +351,9 @@ def test_truncated_address_channel_is_length_mismatch():
 
 def test_wrong_separator_code_rejected():
     data, _ = grid_bytes(list(range(96)))
-    stream_at = 14 + GRID_REGION_BYTES + 8
     buf = bytearray(data)
-    assert buf[stream_at + 95] == 1
-    buf[stream_at + 95] = 2  # out-of-cycle separator
+    assert buf[OCCUPANT_AT + 95] == 1
+    buf[OCCUPANT_AT + 95] = 2  # out-of-cycle separator
     with pytest.raises(GridFormatError) as err:
         parse_grid(bytes(buf))
     assert "separator" in str(err.value)
@@ -340,7 +362,7 @@ def test_wrong_separator_code_rejected():
 def test_corrupt_region_rejected():
     data, _ = grid_bytes(list(range(4)))
     buf = bytearray(data)
-    buf[14 + 60000] ^= 0x41
+    buf[REGION.start + 60000] ^= 0x41
     with pytest.raises(GridFormatError) as err:
         parse_grid(bytes(buf))
     assert "region" in str(err.value)
@@ -438,7 +460,7 @@ def test_layout_matches_reference(case):
     data, summary = grid_bytes(rows, mode=mode)
     occupant, region, blocks, separators, restarts = reference_layout(rows, mode)
     assert occupant_stream(data) == occupant
-    assert data[14 : 14 + GRID_REGION_BYTES] == region
+    assert data[REGION] == region
     assert summary.block_count == blocks
     assert summary.separator_count == separators
     assert summary.collision_restarts == restarts
@@ -477,7 +499,7 @@ def test_layout_matches_reference_on_corpora(kind, size, mode, layout):
         list(addressing.row_array(stream)), mode
     )
     assert occupant_stream(data) == occupant
-    assert data[14 : 14 + GRID_REGION_BYTES] == region
+    assert data[REGION] == region
     assert summary.block_count == blocks
     assert summary.separator_count == separators
     assert summary.collision_restarts == restarts
@@ -531,17 +553,17 @@ def test_separator_without_occupant_chars_rejected(edit, offset, block):
 def test_region_mismatch_names_slot_and_block():
     data, _ = grid_bytes(list(range(96)))
     buf = bytearray(data)
-    buf[14 + 60000] ^= 0x41
+    buf[REGION.start + 60000] ^= 0x41
     with pytest.raises(GridFormatError) as err:
         parse_grid(bytes(buf))
     assert "region" in str(err.value)
-    assert err.value.offset == 14 + 60000 and err.value.block == 1
+    assert err.value.offset == REGION.start + 60000 and err.value.block == 1
 
 
 def test_occupant_stream_rejects_truncation():
     with pytest.raises(GridFormatError) as err:
         occupant_stream(GRID_MAGIC + bytes(10))
-    assert "truncated" in str(err.value) and err.value.offset == 14
+    assert "truncated" in str(err.value) and err.value.offset == PAPER_HEADER_LEN
     data, _ = grid_bytes(list(range(10)))
     for cut in (OCCUPANT_AT - 3, OCCUPANT_AT + 5):  # length prefix, stream
         with pytest.raises(GridFormatError) as err:

@@ -41,3 +41,33 @@ def test_cli_run_leaves_shutil_out(tmp_path):
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert "shutil" not in set(out.split())
+
+
+def test_plain_cli_runs_leave_argparse_out(tmp_path):
+    # A plain command line is read from the option table; argparse (with
+    # gettext, re and enum) is imported only for help and usage errors.
+    missing = str(tmp_path / "missing.fbar")
+    small = tmp_path / "small.bin"
+    small.write_bytes(b"fbar" * 64)
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); import fbar.cli; "
+        f"assert fbar.cli.main(['decompress', {missing!r}]) == fbar.cli.EXIT_UNREADABLE; "
+        f"assert fbar.cli.main(['entropy', {str(small)!r}]) == fbar.cli.EXIT_OK; "
+        "print(chr(10).join(sorted(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert {"argparse", "gettext"} & set(out.split()) == set()
+
+
+def test_cli_help_builds_argparse_without_shutil():
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); import fbar.cli; "
+        "assert fbar.cli.main(['decompress', '--help']) == fbar.cli.EXIT_OK; "
+        "assert 'argparse' in sys.modules and 'shutil' not in sys.modules"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.startswith("usage: fbar decompress")
