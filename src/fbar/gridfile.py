@@ -23,10 +23,13 @@ One routine (_render) lays out the occupant stream from the unit count
 of each block, and one (_region) the grid region from the last block's
 rows.  The writer finds the block lengths with one 65,536-slot table of
 the block that last placed each row, indexed by the row as a native
-16-bit word.  The parser checks that the occupant stream is _render's
-output for its own blocks (by its distinct blocks, not by rendering
-again) but does not derive the lengths from the rows: an early restart
-without a collision, or a repeated row inside a 1tt block, still parses.
+16-bit word.  The parser checks each field as it reads it, in file
+order.  It accepts the occupant stream when it is _render's output for
+its own blocks (checked by its distinct blocks, not by rendering again),
+and otherwise names the first byte where the stream departs from the
+rendering of its own blocks.  It does not derive the lengths from the
+rows: an early restart without a collision, or a repeated row inside a
+1tt block, still parses.
 """
 
 from collections import namedtuple
@@ -314,9 +317,15 @@ class _Reader:
         return tail[1] if tail else None
 
 
-def _canonical_blocks(occupant):
-    """(block count, units, last block's units) when the occupant stream is
-    exactly _render's output for the blocks its separators delimit, else None."""
+def _occupant_blocks(occupant, base_offset):
+    """(block count, units, last block's units) of an occupant stream that
+    is exactly _render's output for the blocks its separators delimit.
+
+    Otherwise raises the error for the first byte where it departs from
+    the rendering of its own blocks.  They are rendered as far as the
+    first that is no prefix of the alphabet, which is held to 1..95
+    units: an empty or over-long block has no rendering.
+    """
     blocks = occupant.translate(_MARK_SEPARATORS).split(_MARK)
     closed = not blocks[-1]  # the stream ends with a separator, or is empty
     if closed:
@@ -327,32 +336,12 @@ def _canonical_blocks(occupant):
     if (_PREFIXES.issuperset(blocks) and separators == _CYCLE * cycles + _CYCLE[:rest]
             and (closed == (last == BLOCK_UNITS) or not occupant)):
         return len(blocks), len(occupant) - len(separators), last
-    return None
-
-
-def _claimed_block_units(occupant, base_offset):
-    """Unit count of each block as the occupant stream's separators delimit it.
-
-    A separator that ends the stream closes the last block.  Raises
-    GridFormatError on an empty block or one longer than 95 units.
-    """
-    lengths = list(map(len, occupant.translate(_MARK_SEPARATORS).split(_MARK)))
-    if lengths[-1] == 0:
-        lengths.pop()
-
-    if 0 in lengths or max(lengths, default=0) > BLOCK_UNITS:
-        block = next(n for n, k in enumerate(lengths) if not 0 < k <= BLOCK_UNITS)
-        offset = base_offset + sum(lengths[:block]) + block
-        if lengths[block]:
-            raise GridFormatError(
-                "missing block separator after 95 occupant chars",
-                offset=offset + BLOCK_UNITS,
-                block=block,
-            )
-        raise GridFormatError(
-            "separator without preceding occupant chars", offset=offset, block=block
-        )
-    return lengths
+    known = list(map(_PREFIXES.__contains__, blocks))
+    if False in known:  # the first defect is no later than this block
+        del blocks[known.index(False) + 1 :]
+    lengths = list(map(len, blocks))
+    lengths[-1] = min(lengths[-1], BLOCK_UNITS) or 1
+    raise _occupant_mismatch(occupant, _render(lengths), base_offset)
 
 
 def _first_difference(got, want):
@@ -374,6 +363,10 @@ def _occupant_mismatch(got, want, base_offset):
         what = f"missing separator code {want[i]} after a full final block"
     elif i == len(want):
         what = f"separator code {got[i]} after a partial final block"
+    elif got[i] < 32 <= want[i]:
+        what = "separator without preceding occupant chars"
+    elif want[i] < 32 <= got[i]:
+        what = "missing block separator after 95 occupant chars"
     elif want[i] < 32:
         what = f"separator code {got[i]} does not match cycle value {want[i]}"
     else:
@@ -388,10 +381,11 @@ def _occupant_mismatch(got, want, base_offset):
 def parse_grid(data):
     """Parse a paper-style artifact's bytes; exact inverse of write_grid.
 
-    Accepts the occupant stream only when it is exactly _render's output
-    for its own blocks, and the region only when it is _region of the
-    last block.  Raises GridFormatError naming offset and block on any
-    defect: bad magic, separator or ordinal mismatches, channel length
+    Checks each field as it reads it, in file order.  Accepts the
+    occupant stream only when it is exactly _render's output for its own
+    blocks, and the region only when it is _region of the last block.
+    Raises GridFormatError naming offset and block at the first defect:
+    bad magic, separator or ordinal mismatches, channel length
     mismatches, inconsistent grid region, trailing garbage.
     """
     reader = _Reader(data, _PAPER_FIELDS, GRID_MAGIC)
@@ -407,16 +401,7 @@ def parse_grid(data):
 
     occupant = reader.next()
     occ_start = reader.at
-    canonical = _canonical_blocks(occupant)
-    # a rejected stream is rendered from its claimed lengths to name its first defect
-    block_units = None if canonical else _claimed_block_units(occupant, occ_start)
-
-    address = reader.next(2 * pair_count)
-    tail = reader.tail()
-
-    if canonical is None:
-        raise _occupant_mismatch(occupant, _render(block_units), occ_start)
-    block_count, units_seen, last = canonical
+    block_count, units_seen, last = _occupant_blocks(occupant, occ_start)
     units_expected = _unit_count(pair_count, parsed_mode)
     if units_seen != units_expected:
         raise GridFormatError(
@@ -424,6 +409,10 @@ def parse_grid(data):
             f"{units_expected}",
             offset=occ_start,
         )
+
+    address = reader.next(2 * pair_count)
+    tail = reader.tail()
+
     want_region = _region(address, parsed_mode, units_seen - last, last)
     if region != want_region:
         slot = _first_difference(region, want_region)

@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import re
 from array import array
 
 import pytest
@@ -577,24 +578,34 @@ def with_address_len(data, addr_len):
     return data[:at] + addr_len.to_bytes(8, "big") + data[at + 8 :]
 
 
-def test_empty_block_is_reported_before_the_address_length():
-    data, _ = grid_bytes(list(range(96)))
-    stream = occupant_stream(data)
-    forged = with_address_len(with_occupant(data, stream[:96] + b"\x02" + stream[96:]), 7)
+@pytest.mark.parametrize(
+    "rows, edit, message, offset, block",
+    [
+        pytest.param(96, lambda s: s[:96] + b"\x02" + s[96:],
+                     "separator without preceding occupant chars", 96, 1, id="empty-block"),
+        pytest.param(96, lambda s: s[:95] + s[96:],
+                     "missing block separator after 95 occupant chars", 95, 0, id="96-chars"),
+        pytest.param(10, lambda s: b"abd" + s[3:], "occupant ordinal gap", 2, 0, id="ordinal-gap"),
+        pytest.param(96, lambda s: s[:95] + b"\x02" + s[96:],
+                     "separator code 2 does not match cycle value 1", 95, 0, id="separator-code"),
+        pytest.param(10, lambda s: s + b"\x01",
+                     "separator code 1 after a partial final block", 10, 0, id="partial-final"),
+        pytest.param(10, lambda s: s[:-1],
+                     "occupant stream holds 9 units, header implies 10", 0, None, id="unit-count"),
+        pytest.param(96, lambda s: b"abd" + s[3:96] + b"\x02" + s[96:],
+                     "occupant ordinal gap", 2, 0, id="gap-then-empty-block"),
+    ],
+)
+def test_occupant_defects_are_reported_before_the_address_length(rows, edit, message, offset,
+                                                                  block):
+    # fields are checked in file order: the occupant stream's first
+    # defect, then its unit count, before the address channel's length
+    data, _ = grid_bytes(list(range(rows)))
+    forged = with_address_len(with_occupant(data, edit(occupant_stream(data))), 7)
     with pytest.raises(GridFormatError) as err:
         parse_grid(forged)
-    assert "separator without preceding occupant chars" in str(err.value)
-    assert err.value.offset == OCCUPANT_AT + 96 and err.value.block == 1
-
-
-def test_ordinal_gap_is_reported_after_the_address_length():
-    data, _ = grid_bytes(list(range(10)))
-    assert occupant_stream(data) == b"abcdefghij"
-    forged = with_address_len(with_occupant(data, b"abddefghij"), 7)
-    with pytest.raises(GridFormatError) as err:
-        parse_grid(forged)
-    assert "address channel length 7 does not match 20" in str(err.value)
-    assert err.value.offset == OCCUPANT_AT + 10 + 8
+    assert message in str(err.value)
+    assert err.value.offset == OCCUPANT_AT + offset and err.value.block == block
 
 
 def mutation_cases():
@@ -613,27 +624,35 @@ def mutation_cases():
 
 @pytest.mark.parametrize("data, occ_len", mutation_cases())
 def test_every_occupant_byte_change_is_rejected(data, occ_len):
+    # each is named at the changed byte, or at the next one when the
+    # change is a separator that splits a block or a char that extends one
     assert parse_grid(data).stream
     for at in range(OCCUPANT_AT, OCCUPANT_AT + occ_len):
-        for new in {data[at] ^ 1, ord("a"), 1} - {data[at]}:
-            with pytest.raises(GridFormatError):
+        for new in set(range(256)) - {data[at]}:
+            with pytest.raises(GridFormatError) as err:
                 parse_grid(data[:at] + bytes((new,)) + data[at + 1 :])
+            assert err.value.offset in (at, at + 1), (at, new, str(err.value))
 
 
 def rendered_block_units(occupant):
     """The block lengths of an occupant stream that render-and-compare
-    accepts, or None: the parser's check before _canonical_blocks."""
-    try:
-        units = gridfile._claimed_block_units(occupant, 0)
-    except GridFormatError:
+    accepts, or None: the check _occupant_blocks makes without rendering."""
+    lengths = [len(block) for block in re.split(rb"[\x00-\x1f]", occupant)]
+    if lengths[-1] == 0:  # a separator that ends the stream closes the last block
+        lengths.pop()
+    if any(not 0 < k <= BLOCK_UNITS for k in lengths):
         return None
-    return units if gridfile._render(units) == occupant else None
+    return lengths if gridfile._render(lengths) == occupant else None
 
 
 def assert_same_verdict(occupant):
     units = rendered_block_units(occupant)
     want = None if units is None else (len(units), sum(units), units[-1] if units else 0)
-    assert gridfile._canonical_blocks(occupant) == want, occupant
+    try:
+        got = gridfile._occupant_blocks(occupant, 0)
+    except GridFormatError:
+        got = None
+    assert got == want, occupant
 
 
 def test_canonical_check_agrees_on_every_short_stream():
