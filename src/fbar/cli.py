@@ -5,7 +5,8 @@ command line is read straight from that table.  argparse is imported, and
 builds its parser from the same table, only for help and for lines that
 need its rules or its usage errors, so its help text and messages stay.
 
-Exit codes:
+A command that cannot finish raises ``_Failure``, and ``main`` prints its
+one ``error:`` line on stderr.  Exit codes:
     0  success
     1  audit or verification failure
     2  usage error / unwritable destination
@@ -36,48 +37,57 @@ TT_DIR_ENV = "FBAR_TT_DIR"
 _TT_BASENAME = "tt1.bin"
 
 
-def _resolve_tt_path(explicit):
-    if explicit:
-        return explicit
-    tt_dir = os.environ.get(TT_DIR_ENV)
-    if tt_dir:
-        return os.path.join(tt_dir, _TT_BASENAME)
-    return None
+class _Failure(Exception):
+    """A command's failure: main prints ``error: <message>`` and returns ``code``."""
+
+    def __init__(self, code, message):
+        super().__init__(message)
+        self.code = code
+
+
+def _read(path):
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise _Failure(EXIT_UNREADABLE, f"cannot read {path}: {exc}")
+
+
+def _write(path, writer, *args):
+    """Open ``path`` for writing and return ``writer(*args, fh)``."""
+    try:
+        with open(path, "wb") as fh:
+            return writer(*args, fh)
+    except (OSError, TtError) as exc:
+        raise _Failure(EXIT_USAGE, f"cannot write {path}: {exc}")
+
+
+def _put(data, fh):
+    return fh.write(data)
 
 
 def _load_tables(args):
-    """Load the translation table, which serves every mode."""
-    path = _resolve_tt_path(args.tt)
-    if path is None:
-        print(
-            f"error: no translation table; pass --tt or set ${TT_DIR_ENV}",
-            file=sys.stderr,
-        )
-        return None
+    """The translation table named by --tt or $FBAR_TT_DIR; it serves every mode."""
+    tt_dir = os.environ.get(TT_DIR_ENV)
+    path = args.tt or (tt_dir and os.path.join(tt_dir, _TT_BASENAME))
+    if not path:
+        raise _Failure(EXIT_NO_TT, f"no translation table; pass --tt or set ${TT_DIR_ENV}")
     try:
         with open(path, "rb") as fh:
-            tt = transtable.load_binary(fh, layout=args.layout)
+            return transtable.load_binary(fh, layout=args.layout)
     except FileNotFoundError:
-        print(f"error: translation table not found: {path}", file=sys.stderr)
-        return None
+        raise _Failure(EXIT_NO_TT, f"translation table not found: {path}")
     except (OSError, TtFormatError) as exc:
-        print(f"error: cannot load translation table {path}: {exc}", file=sys.stderr)
-        return None
-    return tt
+        raise _Failure(EXIT_NO_TT, f"cannot load translation table {path}: {exc}")
 
 
-def _verified(tables):
-    """Whether the tables pass verification; prints the first violation if not."""
+def _verified(tt):
+    """``tt``, once it passes verification."""
     try:
-        tables.ensure_verified()
+        tt.ensure_verified()
     except TtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
-
-
-def _print_report(report, fmt):
-    print(report.render_kv() if fmt == "kv" else report.render_table())
+        raise _Failure(EXIT_AUDIT_FAIL, str(exc))
+    return tt
 
 
 def cmd_gen_tt(args):
@@ -85,101 +95,57 @@ def cmd_gen_tt(args):
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure(EXIT_USAGE, f"cannot create {out_dir}: {exc}")
     tt = transtable.generate_tt(args.layout)
-    report = transtable.verify_tt(tt)
-    if not report.ok:
-        print("error: generated table failed verification", file=sys.stderr)
-        return EXIT_AUDIT_FAIL
+    if not transtable.verify_tt(tt).ok:
+        raise _Failure(EXIT_AUDIT_FAIL, "generated table failed verification")
     ext = "txt" if args.format == "text" else "bin"
     writer = (
         transtable.serialize_text if args.format == "text" else transtable.serialize_binary
     )
     for n in range(1, args.count + 1):
         path = os.path.join(out_dir, f"tt{n}.{ext}")
-        try:
-            with open(path, "wb") as fh:
-                written = writer(tt, fh)
-        except (OSError, TtError) as exc:
-            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        written = _write(path, writer, tt)
         print(f"wrote {path}: {written} bytes, {tt.row_count} rows, verified")
     return EXIT_OK
 
 
 def cmd_compress(args):
     tables = _load_tables(args)
-    if tables is None:
-        return EXIT_NO_TT
-    try:
-        with open(args.input, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
-    if not _verified(tables):
-        return EXIT_AUDIT_FAIL
+    data = _read(args.input)
     result = codec.compress(
-        CompressJob(data=data, tables=tables, mode=args.mode, fmt=args.format)
+        CompressJob(data=data, tables=_verified(tables), mode=args.mode, fmt=args.format)
     )
     out_path = args.out or args.input + ".fbar"
-    try:
-        with open(out_path, "wb") as fh:
-            fh.write(result.artifact)
-    except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _write(out_path, _put, result.artifact)
     print(f"compressed {args.input} -> {out_path}")
-    _print_report(result.report, args.report)
+    print(result.report.render_kv() if args.report == "kv" else result.report.render_table())
     return EXIT_OK
 
 
 def cmd_decompress(args):
-    try:
-        with open(args.input, "rb") as fh:
-            artifact = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
+    artifact = _read(args.input)
     if gridfile.artifact_kind(artifact) is None:
-        print(f"error: {args.input} is not a recognized artifact", file=sys.stderr)
-        return EXIT_BAD_ARTIFACT
-    tt = _load_tables(args)
-    if tt is None:
-        return EXIT_NO_TT
-    if not _verified(tt):  # keep verification out of the timed region
-        return EXIT_AUDIT_FAIL
+        raise _Failure(EXIT_BAD_ARTIFACT, f"{args.input} is not a recognized artifact")
+    tt = _verified(_load_tables(args))  # keep verification out of the timed region
     start = time.perf_counter()
     try:
-        data = codec.decompress(
-            DecompressJob(artifact=artifact, tables=tt, mode=args.mode)
-        )
+        data = codec.decompress(DecompressJob(artifact=artifact, tables=tt, mode=args.mode))
     except ModeMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODE_MISMATCH
+        raise _Failure(EXIT_MODE_MISMATCH, str(exc))
     except GridFormatError as exc:
-        print(f"error: malformed artifact: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARTIFACT
+        raise _Failure(EXIT_BAD_ARTIFACT, f"malformed artifact: {exc}")
     elapsed = time.perf_counter() - start
     out_path = args.out or (
         args.input[: -len(".fbar")] if args.input.endswith(".fbar") else args.input + ".out"
     )
-    try:
-        with open(out_path, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _write(out_path, _put, data)
     print(f"decompressed {args.input} -> {out_path} ({len(data)} bytes, {elapsed:.4f}s)")
     return EXIT_OK
 
 
 def cmd_audit(args):
-    tables = _load_tables(args)
-    if tables is None:
-        return EXIT_NO_TT
-    report = metrics.pigeonhole_audit(tables)
+    report = metrics.pigeonhole_audit(_load_tables(args))
     print(f"bijection over 65536 pairs: {'OK' if report.bijection_ok else 'FAILED'}")
     if not report.bijection_ok:
         for row, message in report.violations[:8]:
@@ -208,10 +174,9 @@ def _bench_row(path, tables, mode):
     t_d = time.perf_counter() - start
     if restored != data:
         raise RuntimeError(f"round-trip mismatch on {path}")
-    n = len(data)
     return {
         "file": os.path.basename(path),
-        "size": n,
+        "size": len(data),
         "t_c": result.report.elapsed,
         "t_d": t_d,
         "p1": result.report.paper_size_1tt,
@@ -221,14 +186,20 @@ def _bench_row(path, tables, mode):
     }
 
 
+def _bench_line(r):
+    """One line of the bench table: a file's row, or the total, which has no H."""
+    mbps = r["size"] / r["t_c"] / 1e6 if r["t_c"] > 0 else 0.0
+    h = f"{r['H']:.3f}" if "H" in r else ""
+    return (
+        f"{r['file']:<16} {r['size'] / 1024:>10.2f} {r['t_c']:>8.3f} {r['t_d']:>8.3f} "
+        f"{r['p1'] / 1024:>8.2f}:{r['p4'] / 1024:<7.2f} "
+        f"{r['honest'] / 1024:>11.2f} {h:>7} {mbps:>8.2f}"
+    )
+
+
 def cmd_bench(args):
-    tables = _load_tables(args)
-    if tables is None:
-        return EXIT_NO_TT
-    if not _verified(tables):
-        return EXIT_AUDIT_FAIL
-    rows = []
-    failed = []
+    tables = _verified(_load_tables(args))
+    rows, failed = [], []
     for path in args.files:
         try:
             rows.append(_bench_row(path, tables, args.mode))
@@ -249,29 +220,11 @@ def cmd_bench(args):
         print(header)
         print("-" * len(header))
         for r in rows:
-            mbps = r["size"] / r["t_c"] / 1e6 if r["t_c"] > 0 else 0.0
-            print(
-                f"{r['file']:<16} {r['size'] / 1024:>10.2f} {r['t_c']:>8.3f} "
-                f"{r['t_d']:>8.3f} "
-                f"{r['p1'] / 1024:>8.2f}:{r['p4'] / 1024:<7.2f} "
-                f"{r['honest'] / 1024:>11.2f} {r['H']:>7.3f} {mbps:>8.2f}"
-            )
+            print(_bench_line(r))
         if rows:
-            tot = {
-                "size": sum(r["size"] for r in rows),
-                "t_c": sum(r["t_c"] for r in rows),
-                "t_d": sum(r["t_d"] for r in rows),
-                "p1": sum(r["p1"] for r in rows),
-                "p4": sum(r["p4"] for r in rows),
-                "honest": sum(r["honest"] for r in rows),
-            }
-            mbps = tot["size"] / tot["t_c"] / 1e6 if tot["t_c"] > 0 else 0.0
-            print(
-                f"{'Total':<16} {tot['size'] / 1024:>10.2f} {tot['t_c']:>8.3f} "
-                f"{tot['t_d']:>8.3f} "
-                f"{tot['p1'] / 1024:>8.2f}:{tot['p4'] / 1024:<7.2f} "
-                f"{tot['honest'] / 1024:>11.2f} {'':>7} {mbps:>8.2f}"
-            )
+            summed = ("size", "t_c", "t_d", "p1", "p4", "honest")
+            total = {key: sum(r[key] for r in rows) for key in summed}
+            print(_bench_line({"file": "Total", **total}))
     for path, message in failed:
         print(f"{os.path.basename(path):<16} FAILED: {message}")
     return EXIT_UNREADABLE if failed else EXIT_OK
@@ -447,7 +400,11 @@ def main(argv=None):
         except SystemExit as exc:
             # argparse exits 2 on usage errors already
             return exc.code if exc.code is not None else EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failure as failure:
+        print(f"error: {failure}", file=sys.stderr)
+        return failure.code
 
 
 if __name__ == "__main__":

@@ -231,9 +231,6 @@ class AuditReport:
         self.collision_witness = collision_witness  # (input_a, input_b, shared stream)
         self.channel_bits = {} if channel_bits is None else channel_bits
 
-    def first_bad_row(self):
-        return self.violations[0][0] if self.violations else None
-
 
 def _occupant_only(stream):
     buf = io.BytesIO()

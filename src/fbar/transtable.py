@@ -65,11 +65,6 @@ class TranslationTable:
     def originals(self):
         return self._originals
 
-    def original_at(self, row):
-        if not 0 <= row < TT_ROWS:
-            raise TtError(f"row out of range: {row}")
-        return self._originals[2 * row : 2 * row + 2]
-
     def __eq__(self, other):
         return (
             isinstance(other, TranslationTable)
@@ -151,7 +146,7 @@ def _text_line(number, address, x, x2):
 def text_row(tt, row):
     """One fixed-width 128-byte text row, newline-terminated."""
     address = "x".join(map(str, addressing.address_of_row(row)))
-    return _text_line(row + 1, address, *tt.original_at(row)).encode("ascii")
+    return _text_line(row + 1, address, *tt.originals[2 * row : 2 * row + 2]).encode("ascii")
 
 
 def serialize_text(tt, sink):

@@ -270,6 +270,100 @@ def test_kv_report(tmp_path, tt_file, capsys, no_tt_env):
     assert "space_savings_paper=" in out
 
 
+@pytest.fixture(scope="module")
+def failure_dir(tmp_path_factory):
+    """Tables, inputs and artifacts that the failure cases name by relative path."""
+    directory = tmp_path_factory.mktemp("failures")
+    for layout in ("interleaved", "grouped"):
+        assert main(["gen-tt", "--out", str(directory / layout), "--layout", layout]) == EXIT_OK
+    (directory / "in.txt").write_bytes(b"resolved resolved")
+    (directory / "bad.bin").write_bytes(b"junk" * 10)
+    (directory / "blocker").write_bytes(b"x")
+    artifact = directory / "in.fbar"
+    assert main(
+        ["compress", str(directory / "in.txt"), "--out", str(artifact),
+         "--tt", str(directory / "interleaved" / "tt1.bin")]
+    ) == EXIT_OK
+    (directory / "short.fbar").write_bytes(artifact.read_bytes()[:-5])
+    return directory
+
+
+_TT = ("--tt", "interleaved/tt1.bin")
+_NO_FILE = "[Errno 2] No such file or directory"
+_NOT_DIR = "[Errno 20] Not a directory"
+# Each failure: the command line, its exit status and its one stderr line.
+FAILURES = {
+    "no table": (["compress", "in.txt"], EXIT_NO_TT,
+                 "error: no translation table; pass --tt or set $FBAR_TT_DIR"),
+    "table not found": (["audit", "--tt", "missing.bin"], EXIT_NO_TT,
+                        "error: translation table not found: missing.bin"),
+    "table unloadable": (["bench", "in.txt", "--tt", "bad.bin"], EXIT_NO_TT,
+                         "error: cannot load translation table bad.bin: "
+                         "bad magic b'junk' (at byte offset 0)"),
+    "unreadable input": (["compress", "missing.txt", *_TT], EXIT_UNREADABLE,
+                         f"error: cannot read missing.txt: {_NO_FILE}: 'missing.txt'"),
+    "unreadable artifact": (["decompress", "missing.fbar", "--tt", "missing.bin"],
+                            EXIT_UNREADABLE,
+                            f"error: cannot read missing.fbar: {_NO_FILE}: 'missing.fbar'"),
+    "unwritable out": (["compress", "in.txt", "--out", "blocker/in.fbar", *_TT], EXIT_USAGE,
+                       f"error: cannot write blocker/in.fbar: {_NOT_DIR}: 'blocker/in.fbar'"),
+    "unwritable decompress out": (
+        ["decompress", "in.fbar", "--out", "blocker/in.txt", *_TT], EXIT_USAGE,
+        f"error: cannot write blocker/in.txt: {_NOT_DIR}: 'blocker/in.txt'"),
+    "gen-tt uncreatable directory": (
+        ["gen-tt", "--out", "blocker/tables"], EXIT_USAGE,
+        f"error: cannot create blocker/tables: {_NOT_DIR}: 'blocker/tables'"),
+    "verification failure": (
+        ["decompress", "in.fbar", "--tt", "grouped/tt1.bin"], EXIT_AUDIT_FAIL,
+        "error: table failed verification: row 16 holds 5655, expected 5557"),
+    "compress verification failure": (
+        ["compress", "in.txt", "--tt", "grouped/tt1.bin"], EXIT_AUDIT_FAIL,
+        "error: table failed verification: row 16 holds 5655, expected 5557"),
+    "compress reads its input before verifying": (
+        ["compress", "missing.txt", "--tt", "grouped/tt1.bin"], EXIT_UNREADABLE,
+        f"error: cannot read missing.txt: {_NO_FILE}: 'missing.txt'"),
+    "unrecognized artifact": (["decompress", "in.txt", "--tt", "missing.bin"],
+                              EXIT_BAD_ARTIFACT,
+                              "error: in.txt is not a recognized artifact"),
+    "malformed artifact": (
+        ["decompress", "short.fbar", *_TT], EXIT_BAD_ARTIFACT,
+        "error: malformed artifact: truncated in address channel at byte offset 65588"),
+    "mode mismatch": (["decompress", "in.fbar", "--mode", "4tt", *_TT], EXIT_MODE_MISMATCH,
+                      "error: artifact mode 1tt does not match requested 4tt"),
+}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_failure_prints_one_error_line(case, failure_dir, monkeypatch, capsys, no_tt_env):
+    argv, status, line = FAILURES[case]
+    monkeypatch.chdir(failure_dir)
+    assert main(argv) == status
+    assert capsys.readouterr() == ("", line + "\n")
+
+
+def _masked(row):
+    """A bench table row with its timed columns (t_c, t_d, MB/s) blanked."""
+    return f"{row[:28]}{'~' * 8}{row[36]}{'~' * 8}{row[45:-8]}{'~' * 8}"
+
+
+def test_bench_table_layout(tmp_path, tt_file, monkeypatch, capsys, no_tt_env):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.txt").write_bytes(b"hello world " * 400)
+    (tmp_path / "b.bin").write_bytes(bytes(range(256)))
+    assert main(["bench", "a.txt", "b.bin", "missing.txt", "--tt", tt_file]) == EXIT_UNREADABLE
+    header, rule, *rows, failed = capsys.readouterr().out.splitlines()
+    assert header == (
+        "file               size KiB    t_c s    t_d s      1TT:4TT KiB  honest KiB   H b/B     MB/s"
+    )
+    assert rule == "-" * len(header)
+    assert [_masked(row) for row in rows] == [
+        "a.txt                  4.69 ~~~~~~~~ ~~~~~~~~     2.37:0.59           4.69   2.855 ~~~~~~~~",
+        "b.bin                  0.25 ~~~~~~~~ ~~~~~~~~     0.13:0.03           0.25   8.000 ~~~~~~~~",
+        "Total                  4.94 ~~~~~~~~ ~~~~~~~~     2.50:0.62           4.94         ~~~~~~~~",
+    ]
+    assert failed == f"missing.txt      FAILED: {_NO_FILE}: 'missing.txt'"
+
+
 COMMANDS = ("gen-tt", "compress", "decompress", "audit", "bench", "entropy")
 
 

@@ -160,7 +160,7 @@ def test_audit_catches_single_record_flip(tt):
     buf[2 * row + 1] ^= 0x10
     report = pigeonhole_audit(transtable.TranslationTable(bytes(buf)))
     assert not report.bijection_ok
-    assert report.first_bad_row() == row
+    assert report.violations[0][0] == row
 
 
 def test_audit_canonical_grouped(tt_grouped):
@@ -184,7 +184,7 @@ def test_audit_catches_any_single_byte_mutation(tt, tt_grouped, row, offset, mas
     buf[2 * row + offset] ^= mask
     report = pigeonhole_audit(transtable.TranslationTable(bytes(buf), layout))
     assert not report.bijection_ok
-    assert report.first_bad_row() == row
+    assert report.violations[0][0] == row
     assert len(report.violations) == 1
 
 

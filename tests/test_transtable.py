@@ -39,13 +39,13 @@ def test_generation_is_deterministic(tt):
 
 def test_record_anchor_re(tt):
     row = addressing.row_of_address((7, 6, 1, 4))
-    assert tt.original_at(row) == b"re"
+    assert tt.originals[2 * row : 2 * row + 2] == b"re"
     assert addressing.address_of_row(row) == (7, 6, 1, 4)
 
 
 def test_every_row_matches_addressing(tt):
     for row in range(0, TT_ROWS, 997):
-        assert tt.original_at(row) == bytes(addressing.pair_of_row(row))
+        assert tt.originals[2 * row : 2 * row + 2] == bytes(addressing.pair_of_row(row))
 
 
 def test_verify_canonical_ok(tt):
