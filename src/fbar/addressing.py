@@ -43,14 +43,6 @@ ZN_INDEX = {combo: pos for pos, combo in enumerate(pairops.ZN_COMBOS, start=1)}
 FlagAddress = namedtuple("FlagAddress", "i j k l")
 
 
-def combo_index(combo):
-    """1-based position of a combo in its 16-element alphabet."""
-    pos = IP_INDEX.get(combo) or ZN_INDEX.get(combo)
-    if pos is None:
-        raise ValueError(f"not an alphabet combo: {combo!r}")
-    return pos
-
-
 # Per-byte coordinate tables, built once from the canonical factorization.
 _BYTE_COORDS = []
 _BYTE_FROM_COORDS = {}
@@ -152,18 +144,27 @@ def _regroup(stream, layout):
 
 
 def encode_stream(data, layout="interleaved"):
-    """Row stream of every complete pair of ``data``; an odd last byte is left out."""
-    even = len(data) - len(data) % 2
-    return _regroup(bytes(data[:even]).translate(_F), layout)
+    """Row stream of every complete pair of ``data``; an odd last byte is left out.
+
+    The whole input is translated at once.  For an odd length the
+    interleaved stream is a read-only view of that translation without
+    its last byte, not a copy.
+    """
+    rows = bytes(data).translate(_F)
+    return _regroup(memoryview(rows)[:-1] if len(rows) % 2 else rows, layout)
 
 
-def decode_stream(stream, layout="interleaved", inverse=_F_INV):
-    """Pairs of a row stream; exact inverse of encode_stream.
+def decode_stream(stream, layout="interleaved", inverse=_F_INV, tail=None):
+    """Pairs of a row stream, then ``tail``, the odd last byte, when given;
+    exact inverse of encode_stream.
 
     ``inverse`` is F's inverse, by default the one derived here; a codec
     passes the one read from its translation table (inverse_of_table).
+    The tail joins the regrouped rows as its pre-image under ``inverse``,
+    so one join and one translate build the whole output.
     """
-    return _regroup(bytes(stream), layout).translate(inverse)
+    tail = b"" if tail is None else bytes((inverse.index(tail),))
+    return b"".join((_regroup(stream, layout), tail)).translate(inverse)
 
 
 def inverse_of_table(originals, layout="interleaved"):

@@ -226,7 +226,11 @@ def cmd_bench(args):
             total = {key: sum(r[key] for r in rows) for key in summed}
             print(_bench_line({"file": "Total", **total}))
     for path, message in failed:
-        print(f"{os.path.basename(path):<16} FAILED: {message}")
+        name = os.path.basename(path)
+        if args.report == "kv":
+            print(f"file={name} failed={message}")
+        else:
+            print(f"{name:<16} FAILED: {message}")
     return EXIT_UNREADABLE if failed else EXIT_OK
 
 

@@ -10,7 +10,6 @@ reads the mode from the artifact, so any verified table decodes any
 artifact.
 """
 
-import io
 import time
 from collections import namedtuple
 
@@ -37,6 +36,13 @@ DecompressJob = namedtuple("DecompressJob", "artifact tables mode", defaults=(No
 CompressResult = namedtuple("CompressResult", "artifact summary report")
 
 
+class _Kept:
+    """A sink that keeps the one object written to it, without copying it."""
+
+    def write(self, data):
+        self.data = data
+
+
 def encode_rows(data, layout="interleaved"):
     """The row stream of every complete pair of the input, plus the tail byte."""
     tail = data[-1] if len(data) % 2 else None
@@ -54,7 +60,7 @@ def compress(job: CompressJob) -> CompressResult:
 
     start = time.perf_counter()
     stream, tail = encode_rows(job.data, layout)
-    sink = io.BytesIO()
+    sink = _Kept()
     if job.fmt == FORMAT_PAPER:
         summary = gridfile.write_grid(stream, job.mode, sink, tail)
         paper_accounted = summary.occupant_len
@@ -65,7 +71,7 @@ def compress(job: CompressJob) -> CompressResult:
         paper_accounted = None
         honest_size = total - gridfile.HONEST_OVERHEAD
 
-    artifact = sink.getvalue()
+    artifact = sink.data
     report = metrics.build_report(
         job.data,
         job.mode,
@@ -99,10 +105,7 @@ def decompress(job: DecompressJob) -> bytes:
     tt = job.tables
     tt.ensure_verified()
     inverse = addressing.inverse_of_table(tt.originals, tt.layout)
-    out = addressing.decode_stream(parsed.stream, tt.layout, inverse)
-    if parsed.tail is not None:
-        out += bytes((parsed.tail,))
-    return out
+    return addressing.decode_stream(parsed.stream, tt.layout, inverse, parsed.tail)
 
 
 def roundtrip(data, tables, mode=MODE_1TT, fmt=FORMAT_PAPER):

@@ -17,7 +17,12 @@ The grid region holds the chars of the last block at its rows' slots.
 
 Rows come in and go out only as a row stream (2 big-endian bytes per
 row, the address channel's bytes): the writers take one, and the
-parsers take the artifact's bytes and return one.
+parsers take the artifact's bytes and return one.  A writer builds the
+artifact with one join of its fields and writes it to its sink once.
+A parser reads its fields as slices of a snapshot it takes of the
+artifact (no copy when given bytes), so the row stream it returns is a
+read-only view of that snapshot: later changes to a mutable input do
+not reach it.
 
 One routine (_render) lays out the occupant stream from the unit count
 of each block, and one (_region) the grid region from the last block's
@@ -151,18 +156,20 @@ def _pair_count(stream):
 
 
 def _pack(sink, fields, values):
-    """Write one artifact, a value per field; returns its length.  A number
-    goes big-endian into its field; a channel's bytes follow their length."""
-    out = bytearray()
+    """Write one artifact, a value per field, with one join and one
+    ``sink.write``; returns its length.  A number goes big-endian into its
+    field; a channel's bytes, any bytes-like object, follow their length."""
+    parts = []
     for (_, size), value in zip(fields, values):
         if isinstance(size, _Channel) and size:
-            out += len(value).to_bytes(size, "big")
-        out += value.to_bytes(size, "big") if isinstance(value, int) else value
+            parts.append(len(value).to_bytes(size, "big"))
+        parts.append(value.to_bytes(size, "big") if isinstance(value, int) else value)
+    artifact = b"".join(parts)
     try:
-        sink.write(bytes(out))
+        sink.write(artifact)
     except OSError as exc:
         raise GridFormatError(f"sink write failed: {exc}") from exc
-    return len(out)
+    return len(artifact)
 
 
 def _block_lengths(stream, mode):
@@ -266,12 +273,13 @@ def write_honest(stream, sink, tail=None):
 
 
 class _Reader:
-    """One artifact's fields in its format's table order, each checked whole;
+    """One artifact's fields in its format's table order, each checked whole
+    and read as a memoryview slice of a bytes snapshot of the artifact;
     ``at`` is the offset of the last one's bytes, after any length."""
 
     def __init__(self, data, fields, magic):
-        self.data, self.fields, self.off = bytes(data), iter(fields), 0
-        found = self.next()
+        self.data, self.fields, self.off = memoryview(bytes(data)), iter(fields), 0
+        found = bytes(self.next())
         if found != magic:
             raise GridFormatError(f"bad magic {found!r}", offset=self.at)
 
@@ -381,7 +389,8 @@ def _occupant_mismatch(got, want, base_offset):
 def parse_grid(data):
     """Parse a paper-style artifact's bytes; exact inverse of write_grid.
 
-    Checks each field as it reads it, in file order.  Accepts the
+    Its row stream is a read-only view of the artifact.  Checks each
+    field as it reads it, in file order.  Accepts the
     occupant stream only when it is exactly _render's output for its own
     blocks, and the region only when it is _region of the last block.
     Raises GridFormatError naming offset and block at the first defect:
@@ -396,10 +405,10 @@ def parse_grid(data):
         raise GridFormatError(f"unknown mode byte {mode_byte}", offset=reader.at)
     pair_count = reader.number()
 
-    region = reader.next()
+    region = bytes(reader.next())
     region_start = reader.at
 
-    occupant = reader.next()
+    occupant = bytes(reader.next())
     occ_start = reader.at
     block_count, units_seen, last = _occupant_blocks(occupant, occ_start)
     units_expected = _unit_count(pair_count, parsed_mode)
@@ -429,7 +438,10 @@ def parse_grid(data):
 
 
 def parse_honest(data):
-    """Parse a self-contained artifact's bytes; exact inverse of write_honest."""
+    """Parse a self-contained artifact's bytes; exact inverse of write_honest.
+
+    Its row stream is a read-only view of the artifact.
+    """
     reader = _Reader(data, _HONEST_FIELDS, HONEST_MAGIC)
     reader.number(VERSION)
     stream = reader.next(2 * reader.number())
@@ -447,4 +459,4 @@ def occupant_stream(data):
     for name, _ in _PAPER_FIELDS[1:]:
         field = reader.next()
         if name == "occupant stream":
-            return field
+            return bytes(field)

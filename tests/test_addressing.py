@@ -5,13 +5,21 @@ from fbar.addressing import (
     FlagAddress,
     address_of_pair,
     address_of_row,
-    combo_index,
     pair_of_row,
     pair_table,
     row_of_address,
     row_of_pair,
     row_table,
 )
+
+
+def combo_index(combo):
+    """1-based position of a combo in its 16-element alphabet: the oracle
+    for the address coordinates, read from the alphabets themselves."""
+    for alphabet in (pairops.IP_COMBOS, pairops.ZN_COMBOS):
+        if combo in alphabet:
+            return alphabet.index(combo) + 1
+    raise ValueError(f"not an alphabet combo: {combo!r}")
 
 
 def test_combo_index_examples():

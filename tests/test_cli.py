@@ -364,6 +364,18 @@ def test_bench_table_layout(tmp_path, tt_file, monkeypatch, capsys, no_tt_env):
     assert failed == f"missing.txt      FAILED: {_NO_FILE}: 'missing.txt'"
 
 
+def test_bench_kv_lines_all_start_with_file(tmp_path, tt_file, monkeypatch, capsys, no_tt_env):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.txt").write_bytes(b"hello world " * 400)
+    argv = ["bench", "a.txt", "missing.txt", "--tt", tt_file, "--report", "kv"]
+    assert main(argv) == EXIT_UNREADABLE
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("file=") for line in lines)
+    # the message may hold spaces, so ``failed`` is the last key
+    assert lines[1] == f"file=missing.txt failed={_NO_FILE}: 'missing.txt'"
+
+
 COMMANDS = ("gen-tt", "compress", "decompress", "audit", "bench", "entropy")
 
 

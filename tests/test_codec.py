@@ -1,3 +1,4 @@
+import io
 import time
 
 import pytest
@@ -184,6 +185,42 @@ def test_grouped_layout_roundtrip(tt_grouped):
     inter_rows, _ = encode_rows(data, "interleaved")
     grouped_rows, _ = encode_rows(data, "grouped")
     assert inter_rows != grouped_rows
+
+
+@pytest.mark.parametrize("layout", addressing.LAYOUTS)
+@pytest.mark.parametrize("mode", (MODE_1TT, MODE_4TT))
+@pytest.mark.parametrize("fmt", codec.FORMATS)
+def test_artifact_is_the_writers_bytes_and_decodes_exactly(fmt, mode, layout, tt, tt_grouped):
+    # every tail byte after the same 128 pairs, and no tail
+    tables = tt if layout == "interleaved" else tt_grouped
+    even = bytes(range(256))
+    pairs = zip(even[::2], even[1::2])
+    stream = b"".join(addressing.row_of_pair(x, x2, layout).to_bytes(2, "big") for x, x2 in pairs)
+    for tail in (None, *range(256)):
+        data = even if tail is None else even + bytes((tail,))
+        sink = io.BytesIO()
+        if fmt == FORMAT_PAPER:
+            gridfile.write_grid(stream, mode, sink, tail)
+        else:
+            gridfile.write_honest(stream, sink, tail)
+        artifact = compress(CompressJob(data=data, tables=tables, mode=mode, fmt=fmt)).artifact
+        assert type(artifact) is bytes and artifact == sink.getvalue()
+        restored = decompress(DecompressJob(artifact=artifact, tables=tables))
+        assert type(restored) is bytes and restored == data
+
+
+@pytest.mark.parametrize("fmt", codec.FORMATS)
+def test_parsed_stream_keeps_its_snapshot(fmt, tt):
+    data = bytes(range(256)) + b"!"
+    artifact = bytearray(compress(CompressJob(data=data, tables=tt, fmt=fmt)).artifact)
+    parse = gridfile.parse_grid if fmt == FORMAT_PAPER else gridfile.parse_honest
+    parsed = parse(artifact)
+    stream = bytes(parsed.stream)
+    restored = decompress(DecompressJob(artifact=artifact, tables=tt))
+    artifact[:] = artifact.translate(bytes(range(255, -1, -1)))  # every byte, in place
+    artifact.extend(b"!")  # a view still exported from it would make this raise BufferError
+    assert parsed.stream == stream and parsed.tail == ord("!")
+    assert restored == data
 
 
 @pytest.mark.parametrize("layout", addressing.LAYOUTS)
