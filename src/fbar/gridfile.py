@@ -30,8 +30,10 @@ rows.  The writer finds the block lengths with one 65,536-slot table of
 the block that last placed each row, indexed by the row as a native
 16-bit word.  The parser checks each field as it reads it, in file
 order.  It accepts the occupant stream when it is _render's output for
-its own blocks (checked by its distinct blocks, not by rendering again),
-and otherwise names the first byte where the stream departs from the
+its own blocks, checked in one pass over its bytes (each char must be
+the successor of the byte before it, the separators must follow their
+cycle) without rendering again or making an object per block.
+Otherwise it names the first byte where the stream departs from the
 rendering of its own blocks.  It does not derive the lengths from the
 rows: an early restart without a collision, or a repeated row inside a
 1tt block, still parses.
@@ -97,6 +99,13 @@ _NOT_SEPARATORS = bytes(range(32, 256))
 _MARK_SEPARATORS = bytes(32) + _NOT_SEPARATORS
 _CYCLE = bytes(SEPARATOR_CODES)
 _PREFIXES = frozenset(_CHARS[1:])
+# _SUCC[b]: the only char a rendered stream may hold after byte b: the
+# first after a separator, the next after a char, none (0) after the last
+# char or a byte outside the alphabet.  _CHAR_MASK marks the chars (0xFF)
+# and the separators (_MARK).
+_NEXT_CHAR = dict(zip(OCCUPANT_ALPHABET, OCCUPANT_ALPHABET[1:]))
+_SUCC = bytes(OCCUPANT_ALPHABET[0] if b < 32 else _NEXT_CHAR.get(b, 0) for b in range(256))
+_CHAR_MASK = _MARK * 32 + b"\xff" * 224
 
 
 class GridFormatError(Exception):
@@ -329,21 +338,39 @@ def _occupant_blocks(occupant, base_offset):
     """(block count, units, last block's units) of an occupant stream that
     is exactly _render's output for the blocks its separators delimit.
 
+    Every block is a prefix of the alphabet exactly when the stream
+    starts with the first char, each char is _SUCC of the byte before it
+    and no two separators touch.  All chars are checked in one pass over
+    the bytes, no block made: one XOR of the integers whose little-endian
+    bytes are the stream from its second byte and the successors of the
+    stream up to its last, masked to the chars.  Besides, the separators
+    must follow the cycle, and the stream ends with one exactly when its
+    last block is full.
+
     Otherwise raises the error for the first byte where it departs from
-    the rendering of its own blocks.  They are rendered as far as the
-    first that is no prefix of the alphabet, which is held to 1..95
-    units: an empty or over-long block has no rendering.
+    the rendering of its own blocks.  Only then is it split into blocks,
+    which are rendered as far as the first that is no prefix of the
+    alphabet, held to 1..95 units: an empty or over-long block has no
+    rendering.
     """
-    blocks = occupant.translate(_MARK_SEPARATORS).split(_MARK)
-    closed = not blocks[-1]  # the stream ends with a separator, or is empty
-    if closed:
-        blocks.pop()
-    last = len(blocks[-1]) if blocks else 0
+    if not occupant:
+        return 0, 0, 0
     separators = occupant.translate(None, _NOT_SEPARATORS)
     cycles, rest = divmod(len(separators), len(_CYCLE))
-    if (_PREFIXES.issuperset(blocks) and separators == _CYCLE * cycles + _CYCLE[:rest]
-            and (closed == (last == BLOCK_UNITS) or not occupant)):
-        return len(blocks), len(occupant) - len(separators), last
+    # each byte after the first XOR _SUCC of the byte before it, kept at the chars
+    wrong = int.from_bytes(memoryview(occupant)[1:], "little")
+    wrong ^= int.from_bytes(memoryview(occupant.translate(_SUCC))[:-1], "little")
+    chars = occupant.translate(_CHAR_MASK)
+    wrong &= int.from_bytes(memoryview(chars)[1:], "little")
+    closed = occupant[-1] < 32
+    if (occupant[0] == OCCUPANT_ALPHABET[0] and not wrong and _MARK * 2 not in chars
+            and separators == _CYCLE * cycles + _CYCLE[:rest]
+            and (occupant[-1 - closed] == OCCUPANT_ALPHABET[-1]) == closed):
+        last = OCCUPANT_ALPHABET.index(occupant[-1 - closed]) + 1
+        return len(separators) + (not closed), len(occupant) - len(separators), last
+    blocks = occupant.translate(_MARK_SEPARATORS).split(_MARK)
+    if closed:
+        blocks.pop()
     known = list(map(_PREFIXES.__contains__, blocks))
     if False in known:  # the first defect is no later than this block
         del blocks[known.index(False) + 1 :]

@@ -10,7 +10,6 @@ Two accountings are kept strictly apart and both are always reported:
   the information.
 """
 
-import io
 import math
 from collections import Counter
 
@@ -233,9 +232,8 @@ class AuditReport:
 
 
 def _occupant_only(stream):
-    buf = io.BytesIO()
-    gridfile.write_grid(stream, gridfile.MODE_1TT, buf)
-    return gridfile.occupant_stream(buf.getvalue())
+    """The occupant stream a 1tt paper artifact of ``stream`` holds."""
+    return gridfile._render(gridfile._block_lengths(stream, gridfile.MODE_1TT))
 
 
 def pigeonhole_audit(tt):

@@ -143,12 +143,6 @@ def _text_line(number, address, x, x2):
     return body.ljust(TEXT_ROW_BYTES - 1) + "\n"
 
 
-def text_row(tt, row):
-    """One fixed-width 128-byte text row, newline-terminated."""
-    address = "x".join(map(str, addressing.address_of_row(row)))
-    return _text_line(row + 1, address, *tt.originals[2 * row : 2 * row + 2]).encode("ascii")
-
-
 def serialize_text(tt, sink):
     """Write the fixed-width text form; returns the byte count (8 MiB).
 

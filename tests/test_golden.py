@@ -15,6 +15,7 @@ import pytest
 
 from fbar import addressing, codec, transtable
 from fbar.codec import CompressJob
+from test_transtable import text_row
 
 INPUTS = {
     "empty": b"",
@@ -120,6 +121,6 @@ def test_text_table_is_byte_identical(layout):
         65535: b"65536 16x16x16x16 ",
     }
     for row, fragment in fragments.items():
-        line = transtable.text_row(tt, row)
+        line = text_row(tt, row)
         assert line == text[row * width : (row + 1) * width], row
         assert fragment in line, row

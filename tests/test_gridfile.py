@@ -671,10 +671,16 @@ nearby_bytes = st.one_of(
 
 @st.composite
 def rendered_mutations(draw):
-    """A rendered occupant stream of 1-, 2-, 94- and 95-unit blocks, so
-    full and partial final blocks, with one byte changed, deleted or
-    inserted, or none."""
-    lengths = draw(st.lists(st.sampled_from((1, 2, 94, 95)), max_size=40))
+    """A rendered occupant stream with one byte changed, deleted or
+    inserted, or none.  Its blocks are up to 40 of 1, 2, 94 and 95 units,
+    so full and partial final blocks, or a long run of 1-3-unit blocks:
+    hundreds to a few thousand, whose separators wrap the cycle many times
+    and whose integer images span thousands of digits."""
+    if draw(st.booleans()):
+        lengths = draw(st.lists(st.sampled_from((1, 2, 94, 95)), max_size=40))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        lengths = [rng.randint(1, 3) for _ in range(draw(st.integers(200, 3000)))]
     occupant = gridfile._render(lengths)
     edit = draw(st.sampled_from(("none", "change", "delete", "insert")))
     if edit == "none" or (edit != "insert" and not occupant):

@@ -19,9 +19,22 @@ from fbar.transtable import (
     load_binary,
     serialize_binary,
     serialize_text,
-    text_row,
     verify_tt,
 )
+
+
+def text_row(tt, row):
+    """Row ``row``'s fixed-width 128-byte line of the text table, built
+    field by field from its address and its pair: the oracle for
+    serialize_text.  Printable ASCII but '%' stands for itself; any other
+    byte is %XX."""
+    address = "x".join(map(str, addressing.address_of_row(row)))
+    pair = "".join(
+        chr(b) if 32 <= b <= 126 and b != ord("%") else f"%{b:02X}"
+        for b in tt.originals[2 * row : 2 * row + 2]
+    )
+    line = f"{row + 1} {address} {OCCUPANT_ALPHABET.decode('ascii')} {pair}"
+    return (line.ljust(TEXT_ROW_BYTES - 1) + "\n").encode("ascii")
 
 
 def test_occupant_alphabet():
