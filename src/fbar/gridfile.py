@@ -28,15 +28,19 @@ One routine (_render) lays out the occupant stream from the unit count
 of each block, and one (_region) the grid region from the last block's
 rows.  The writer finds the block lengths with one 65,536-slot table of
 the block that last placed each row, indexed by the row as a native
-16-bit word.  The parser checks each field as it reads it, in file
-order.  It accepts the occupant stream when it is _render's output for
-its own blocks, checked in one pass over its bytes (each char must be
-the successor of the byte before it, the separators must follow their
-cycle) without rendering again or making an object per block.
-Otherwise it names the first byte where the stream departs from the
-rendering of its own blocks.  It does not derive the lengths from the
-rows: an early restart without a collision, or a repeated row inside a
-1tt block, still parses.
+16-bit word.  A unit equal to the one before it always starts a block,
+since the two collide: so the writer reads the rows a span at a time,
+and a span that is one unit repeated becomes that many one-unit blocks
+with only its first unit looked up, and _render emits each chunk of
+one-unit blocks as one constant.  The parser checks each field as it
+reads it, in file order.  It accepts the occupant stream when it is
+_render's output for its own blocks, checked in one pass over its bytes
+(each char must be the successor of the byte before it, the separators
+must follow their cycle) without rendering again or making an object
+per block.  Otherwise it names the first byte where the stream departs
+from the rendering of its own blocks.  It does not derive the lengths
+from the rows: an early restart without a collision, or a repeated row
+inside a 1tt block, still parses.
 """
 
 from collections import namedtuple
@@ -90,8 +94,14 @@ _CHARS = [OCCUPANT_ALPHABET[:n] for n in range(BLOCK_UNITS + 1)]
 _PIECES = [[chars + sep for chars in _CHARS] for sep in _SEPARATORS]
 # Blocks are joined a slice of whole separator cycles at a time: a join
 # allocates an 80-byte record per piece, which for a stream of one-unit
-# blocks would be 40 times the stream itself.
+# blocks would be 40 times the stream itself.  Every slice so starts the
+# cycle afresh, and a slice of one-unit blocks is always the same bytes.
 _CHUNK = len(_PIECES) * 128
+_ONE_UNIT_BLOCKS = [1] * _CHUNK
+_ONE_UNIT_CHUNK = b"".join(pieces[1] for pieces in _PIECES) * (_CHUNK // len(_PIECES))
+# _block_lengths reads the rows this many bytes at a time: 4,096 1tt units
+# or 1,024 4tt units.
+_SPAN = 8192
 # Every byte below 32 is read as a separator; translating them all to
 # one marker lets a split find the blocks.
 _MARK = b"\x00"
@@ -190,30 +200,50 @@ def _block_lengths(stream, mode):
     native 16-bit word w, so a unit collides exactly when one of its
     slots holds the current block's number.  A 4tt unit is checked whole
     before it is marked: a row repeated inside one unit is no collision.
+
+    A unit equal to the unit before it always starts a block: that unit
+    is still in the current block, so the two collide.  The rows are
+    read _SPAN bytes at a time, and a span that is one unit repeated
+    is laid out without the loop past its first unit: each later copy
+    is a one-unit block, and the last of them is the current block.
     """
     per_unit = 1 if mode == MODE_1TT else 4
     partial = len(stream) // 2 % per_unit
     if partial:  # fill a partial last unit up with its first row, which cannot collide
         stream = bytes(stream) + bytes(stream[-2 * partial :][:2]) * (per_unit - partial)
-    words = memoryview(stream).cast("B").cast("H")  # a collision needs no byte order
+    octets = memoryview(stream).cast("B")
+    words = octets.cast("H")  # a collision needs no byte order
+    unit = 2 * per_unit
     last = [-1] * 65536
     lengths = []
     block = n = 0  # the current block's number and its units so far
-    if per_unit == 1:
-        for w in words:
-            if n == BLOCK_UNITS or last[w] == block:
-                lengths.append(n)
-                block, n = block + 1, 0
-            last[w] = block
-            n += 1
-    else:
-        for w0, w1, w2, w3 in zip(words[0::4], words[1::4], words[2::4], words[3::4]):
-            if n == BLOCK_UNITS or last[w0] == block or last[w1] == block or last[w2] == block \
-                    or last[w3] == block:
-                lengths.append(n)
-                block, n = block + 1, 0
-            last[w0] = last[w1] = last[w2] = last[w3] = block
-            n += 1
+    for at in range(0, len(octets), _SPAN):
+        span = octets[at : at + _SPAN]
+        copies = len(span) // unit
+        # the first 16 bytes tell most spans that are no run, without a copy
+        uniform = span[:8] == span[8:16] and bytes(span) == bytes(span[:unit]) * copies
+        part = words[at // 2 : at // 2 + (per_unit if uniform else _SPAN // 2)]
+        if per_unit == 1:
+            for w in part:
+                if n == BLOCK_UNITS or last[w] == block:
+                    lengths.append(n)
+                    block, n = block + 1, 0
+                last[w] = block
+                n += 1
+        else:
+            for w0, w1, w2, w3 in zip(part[0::4], part[1::4], part[2::4], part[3::4]):
+                if n == BLOCK_UNITS or last[w0] == block or last[w1] == block \
+                        or last[w2] == block or last[w3] == block:
+                    lengths.append(n)
+                    block, n = block + 1, 0
+                last[w0] = last[w1] = last[w2] = last[w3] = block
+                n += 1
+        if uniform:  # each later copy closes the block before it and starts its own
+            lengths.append(n)
+            lengths += [1] * (copies - 2)
+            block, n = block + copies - 1, 1
+            for w in part:
+                last[w] = block
     if n:
         lengths.append(n)
     return lengths
@@ -226,7 +256,11 @@ def _render(block_units):
     cycle; the last keeps its separator only when it is full.
     """
     chunks = (block_units[at : at + _CHUNK] for at in range(0, len(block_units), _CHUNK))
-    occupant = b"".join([b"".join(map(getitem, cycle(_PIECES), chunk)) for chunk in chunks])
+    occupant = b"".join([
+        _ONE_UNIT_CHUNK if chunk == _ONE_UNIT_BLOCKS
+        else b"".join(map(getitem, cycle(_PIECES), chunk))
+        for chunk in chunks
+    ])
     return occupant[:-1] if block_units and block_units[-1] < BLOCK_UNITS else occupant
 
 
@@ -349,31 +383,38 @@ def _occupant_blocks(occupant, base_offset):
 
     Otherwise raises the error for the first byte where it departs from
     the rendering of its own blocks.  Only then is it split into blocks,
-    which are rendered as far as the first that is no prefix of the
-    alphabet, held to 1..95 units: an empty or over-long block has no
-    rendering.
+    as far as one past the block that the first separator off the cycle
+    closes, which are rendered as far as the first that is no prefix of
+    the alphabet (every block is one when the chars passed), held to
+    1..95 units: an empty or over-long block has no rendering.
     """
     if not occupant:
         return 0, 0, 0
     separators = occupant.translate(None, _NOT_SEPARATORS)
     cycles, rest = divmod(len(separators), len(_CYCLE))
+    on_cycle = _CYCLE * cycles + _CYCLE[:rest]
     # each byte after the first XOR _SUCC of the byte before it, kept at the chars
     wrong = int.from_bytes(memoryview(occupant)[1:], "little")
     wrong ^= int.from_bytes(memoryview(occupant.translate(_SUCC))[:-1], "little")
     chars = occupant.translate(_CHAR_MASK)
     wrong &= int.from_bytes(memoryview(chars)[1:], "little")
+    prefixes = occupant[0] == OCCUPANT_ALPHABET[0] and not wrong and _MARK * 2 not in chars
     closed = occupant[-1] < 32
-    if (occupant[0] == OCCUPANT_ALPHABET[0] and not wrong and _MARK * 2 not in chars
-            and separators == _CYCLE * cycles + _CYCLE[:rest]
+    if (prefixes and separators == on_cycle
             and (occupant[-1 - closed] == OCCUPANT_ALPHABET[-1]) == closed):
         last = OCCUPANT_ALPHABET.index(occupant[-1 - closed]) + 1
         return len(separators) + (not closed), len(occupant) - len(separators), last
-    blocks = occupant.translate(_MARK_SEPARATORS).split(_MARK)
-    if closed:
+    # separator k closes block k; the split stops after ``cut`` of them
+    cut = len(separators)
+    if separators != on_cycle:
+        cut = min(_first_difference(separators, on_cycle) + 2, cut)
+    blocks = occupant.translate(_MARK_SEPARATORS).split(_MARK, cut)
+    if cut < len(separators) or closed:  # what follows the last separator split at
         blocks.pop()
-    known = list(map(_PREFIXES.__contains__, blocks))
-    if False in known:  # the first defect is no later than this block
-        del blocks[known.index(False) + 1 :]
+    if not prefixes:
+        known = list(map(_PREFIXES.__contains__, blocks))
+        if False in known:  # the first defect is no later than this block
+            del blocks[known.index(False) + 1 :]
     lengths = list(map(len, blocks))
     lengths[-1] = min(lengths[-1], BLOCK_UNITS) or 1
     raise _occupant_mismatch(occupant, _render(lengths), base_offset)
@@ -479,11 +520,3 @@ def artifact_kind(data):
     """Classify raw artifact bytes by magic: 'paper', 'honest' or None."""
     return _KINDS.get(bytes(data[: len(GRID_MAGIC)]))
 
-
-def occupant_stream(data):
-    """Raw occupant stream of paper-format bytes; checks magic and truncation only."""
-    reader = _Reader(data, _PAPER_FIELDS, GRID_MAGIC)
-    for name, _ in _PAPER_FIELDS[1:]:
-        field = reader.next()
-        if name == "occupant stream":
-            return bytes(field)

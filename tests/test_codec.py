@@ -18,13 +18,13 @@ from fbar.codec import (
     roundtrip,
 )
 from fbar.gridfile import MODE_1TT, MODE_4TT
-from test_gridfile import HONEST_HEADER_LEN
+from test_gridfile import HONEST_HEADER_LEN, occupant_stream
 
 
 def test_resolved_1tt_paper(tt):
     result, restored = roundtrip(b"resolved", tt)
     assert restored == b"resolved"
-    assert gridfile.occupant_stream(result.artifact) == b"abcd"
+    assert occupant_stream(result.artifact) == b"abcd"
     assert result.summary.pair_count == 4
     assert result.report.paper_accounted == 4
     assert result.report.input_size == 8
@@ -53,7 +53,7 @@ def test_empty_input_all_modes(tt, set4):
 def test_8_bytes_4tt(set4):
     result, restored = roundtrip(b"resolved", set4, mode=MODE_4TT)
     assert restored == b"resolved"
-    assert gridfile.occupant_stream(result.artifact) == b"a"
+    assert occupant_stream(result.artifact) == b"a"
     assert result.summary.pair_count == 4
     assert result.report.paper_accounted == 1
     assert result.report.space_savings_paper == 0.875

@@ -17,7 +17,6 @@ from fbar.gridfile import (
     GridFormatError,
     MODE_1TT,
     MODE_4TT,
-    occupant_stream,
     parse_grid,
     parse_honest,
     write_grid,
@@ -76,6 +75,16 @@ def test_named_offsets_match_the_field_tables():
     assert OCCUPANT_AT == paper["occupant stream"] + sizes["occupant stream"]
     honest, sizes = _field_starts(gridfile._HONEST_FIELDS), dict(gridfile._HONEST_FIELDS)
     assert HONEST_HEADER_LEN == honest["row stream"] + sizes["row stream"]
+
+
+def occupant_stream(data):
+    """Raw occupant stream of paper-format bytes, read through gridfile's
+    field table; checks magic and truncation only."""
+    reader = gridfile._Reader(data, gridfile._PAPER_FIELDS, GRID_MAGIC)
+    for name, _ in gridfile._PAPER_FIELDS[1:]:
+        field = reader.next()
+        if name == "occupant stream":
+            return bytes(field)
 
 
 def with_occupant(data, occupant):
@@ -457,7 +466,10 @@ def test_header_and_tail_length_errors_name_their_offset(tail):
 @example((list(range(760)), MODE_4TT))
 @example((list(range(382)), MODE_4TT))  # a full block, then a partial unit
 def test_layout_matches_reference(case):
-    rows, mode = case
+    assert_layout_matches_reference(*case)
+
+
+def assert_layout_matches_reference(rows, mode):
     data, summary = grid_bytes(rows, mode=mode)
     occupant, region, blocks, separators, restarts = reference_layout(rows, mode)
     assert occupant_stream(data) == occupant
@@ -504,6 +516,103 @@ def test_layout_matches_reference_on_corpora(kind, size, mode, layout):
     assert summary.block_count == blocks
     assert summary.separator_count == separators
     assert summary.collision_restarts == restarts
+
+
+# Rows per span that _block_lengths reads at a time, in either mode.
+SPAN_ROWS = gridfile._SPAN // 2
+
+
+def distinct(count, base=1000):
+    """``count`` distinct rows, none of them the rows the runs below repeat."""
+    return list(range(base, base + count))
+
+
+def run_cases(unit):
+    """Inputs of more than three spans holding runs of one repeated unit
+    of ``unit`` rows, each named for the case it pins down."""
+    s = SPAN_ROWS
+    # a 95-unit block ends exactly where the span of 7s starts: a run of
+    # one-unit blocks leaves its last one open for 94 distinct units
+    full_block = [1] * (s - 94 * unit) + distinct(94 * unit)
+    return {
+        "whole-spans": distinct(s) + [7] * (2 * s) + distinct(s + 10),
+        "mid-span-mid-block": distinct(s + 1000) + [7] * (s + 2001) + distinct(s + 517),
+        "row-in-block": distinct(s) + [distinct(s)[-5]] * (2 * s) + distinct(s, base=1005),
+        "row-in-block-again": distinct(s - 3) + [7, 9, 8] + [9] * (2 * s) + [8, 7] + distinct(s),
+        "one-unit-short": distinct(s) + [7] * (2 * s - unit) + distinct(s + 3),
+        "one-unit-over": distinct(s) + [7] * (2 * s + unit) + distinct(s + 3),
+        "two-uniform-spans": distinct(s) + [7] * s + [9] * s + distinct(s),
+        "after-full-block": full_block + [7] * (2 * s) + distinct(s),
+        "repeats-in-unit": distinct(s) + [7, 7, 8, 9] * (s // 2) + distinct(s + 6),
+        "partial-last-unit": distinct(3 * s) + [7] * (s - 2),
+    }
+
+
+@pytest.mark.parametrize("mode", (MODE_1TT, MODE_4TT))
+@pytest.mark.parametrize("name", sorted(run_cases(1)))
+def test_layout_matches_reference_on_runs(name, mode):
+    rows = run_cases(1 if mode == MODE_1TT else 4)[name]
+    assert len(rows) > 3 * SPAN_ROWS
+    assert_layout_matches_reference(rows, mode)
+
+
+def test_full_block_ends_where_the_run_starts():
+    # the after-full-block case: the unit before the run closes a 95-unit block
+    for mode, unit in ((MODE_1TT, 1), (MODE_4TT, 4)):
+        rows = run_cases(unit)["after-full-block"]
+        lengths = gridfile._block_lengths(stream_of(rows[:SPAN_ROWS]), mode)
+        assert lengths[-1] == BLOCK_UNITS
+
+
+@st.composite
+def run_segments(draw):
+    """Rows made of a few segments, up to about 3 spans in all: runs of
+    one row or of one 4-row unit, and distinct rows, any of which may
+    repeat a row of the segment before."""
+    mode = draw(st.sampled_from((MODE_1TT, MODE_4TT)))
+    lengths = st.one_of(
+        st.integers(1, 200),
+        st.sampled_from((SPAN_ROWS - 4, SPAN_ROWS - 1, SPAN_ROWS, SPAN_ROWS + 1, SPAN_ROWS + 4)),
+        st.integers(SPAN_ROWS, 2 * SPAN_ROWS),
+    )
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        count = draw(lengths)
+        pool = rows[-95:] + [7, 8, 9]
+        kind = draw(st.sampled_from(("run", "unit-run", "distinct")))
+        if kind == "run":
+            rows += [draw(st.sampled_from(pool))] * count
+        elif kind == "unit-run":
+            unit = draw(st.lists(st.sampled_from(pool), min_size=4, max_size=4))
+            rows += (unit * (count // 4 + 1))[:count]
+        else:
+            rows += distinct(count, draw(st.integers(0, 65536 - count)))
+    return rows[: 3 * SPAN_ROWS + draw(st.integers(0, 7))], mode
+
+
+@settings(max_examples=40, deadline=None)
+@given(run_segments())
+def test_layout_matches_reference_on_drawn_runs(case):
+    assert_layout_matches_reference(*case)
+
+
+def plain_render(block_units):
+    """The occupant stream joined one block at a time: the oracle for _render."""
+    pieces = [OCCUPANT_ALPHABET[:k] + bytes((SEPARATOR_CODES[i % len(SEPARATOR_CODES)],))
+              for i, k in enumerate(block_units)]
+    occupant = b"".join(pieces)
+    return occupant[:-1] if block_units and block_units[-1] < BLOCK_UNITS else occupant
+
+
+@pytest.mark.parametrize("ones", (gridfile._CHUNK - 1, gridfile._CHUNK, gridfile._CHUNK + 1,
+                                  2 * gridfile._CHUNK, 3 * gridfile._CHUNK + 5))
+def test_render_of_one_unit_blocks_matches_plain_join(ones):
+    # runs of one-unit blocks at and off chunk alignment, ending in a
+    # partial or a full block
+    for before in ([], [2], [95] * 30):
+        for after in ([], [95], [3]):
+            block_units = before + [1] * ones + after
+            assert gridfile._render(block_units) == plain_render(block_units)
 
 
 def test_full_final_block_without_its_separator_rejected():
@@ -645,13 +754,30 @@ def rendered_block_units(occupant):
     return lengths if gridfile._render(lengths) == occupant else None
 
 
+def rendering_error(occupant):
+    """(message, offset, block) of the first byte where a rejected stream
+    departs from the rendering of all its blocks, as far as the first that
+    is no alphabet prefix: the error _occupant_blocks must raise."""
+    blocks = re.split(rb"[\x00-\x1f]", occupant)
+    if occupant[-1] < 32:
+        blocks.pop()
+    prefixes = [block == OCCUPANT_ALPHABET[: len(block)] != b"" for block in blocks]
+    if False in prefixes:
+        del blocks[prefixes.index(False) + 1 :]
+    lengths = [len(block) for block in blocks]
+    lengths[-1] = min(lengths[-1], BLOCK_UNITS) or 1
+    err = gridfile._occupant_mismatch(occupant, gridfile._render(lengths), 0)
+    return str(err), err.offset, err.block
+
+
 def assert_same_verdict(occupant):
     units = rendered_block_units(occupant)
     want = None if units is None else (len(units), sum(units), units[-1] if units else 0)
     try:
         got = gridfile._occupant_blocks(occupant, 0)
-    except GridFormatError:
+    except GridFormatError as err:
         got = None
+        assert (str(err), err.offset, err.block) == rendering_error(occupant), occupant
     assert got == want, occupant
 
 
@@ -696,6 +822,9 @@ def rendered_mutations(draw):
 @example(gridfile._render([95, 95])[:-1])  # full final block, no separator
 @example(gridfile._render([95, 94]) + b"\x02")  # partial, with one
 @example(OCCUPANT_ALPHABET + b"a")  # 96 chars in one block
+@example(gridfile._render([1] * 5000)[:-2] + b"\x07a")  # the last separator off the cycle
+@example(gridfile._render([1] * 5000)[:-3] + b"\x01\x01a")  # off the cycle, then an empty block
+@example(gridfile._render([1] * 40 + [2] * 40)[:81] + b"\x09" + b"x" * 99)  # then no prefix
 def test_canonical_check_agrees_on_mutated_renderings(occupant):
     assert_same_verdict(occupant)
 
