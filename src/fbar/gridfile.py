@@ -383,38 +383,31 @@ def _occupant_blocks(occupant, base_offset):
 
     Otherwise raises the error for the first byte where it departs from
     the rendering of its own blocks.  Only then is it split into blocks,
-    as far as one past the block that the first separator off the cycle
-    closes, which are rendered as far as the first that is no prefix of
-    the alphabet (every block is one when the chars passed), held to
-    1..95 units: an empty or over-long block has no rendering.
+    which are rendered as far as the first that is no prefix of the
+    alphabet, held to 1..95 units: an empty or over-long block has no
+    rendering.
     """
     if not occupant:
         return 0, 0, 0
     separators = occupant.translate(None, _NOT_SEPARATORS)
     cycles, rest = divmod(len(separators), len(_CYCLE))
-    on_cycle = _CYCLE * cycles + _CYCLE[:rest]
     # each byte after the first XOR _SUCC of the byte before it, kept at the chars
     wrong = int.from_bytes(memoryview(occupant)[1:], "little")
     wrong ^= int.from_bytes(memoryview(occupant.translate(_SUCC))[:-1], "little")
     chars = occupant.translate(_CHAR_MASK)
     wrong &= int.from_bytes(memoryview(chars)[1:], "little")
-    prefixes = occupant[0] == OCCUPANT_ALPHABET[0] and not wrong and _MARK * 2 not in chars
     closed = occupant[-1] < 32
-    if (prefixes and separators == on_cycle
+    if (occupant[0] == OCCUPANT_ALPHABET[0] and not wrong and _MARK * 2 not in chars
+            and separators == _CYCLE * cycles + _CYCLE[:rest]
             and (occupant[-1 - closed] == OCCUPANT_ALPHABET[-1]) == closed):
         last = OCCUPANT_ALPHABET.index(occupant[-1 - closed]) + 1
         return len(separators) + (not closed), len(occupant) - len(separators), last
-    # separator k closes block k; the split stops after ``cut`` of them
-    cut = len(separators)
-    if separators != on_cycle:
-        cut = min(_first_difference(separators, on_cycle) + 2, cut)
-    blocks = occupant.translate(_MARK_SEPARATORS).split(_MARK, cut)
-    if cut < len(separators) or closed:  # what follows the last separator split at
+    blocks = occupant.translate(_MARK_SEPARATORS).split(_MARK)
+    if closed:
         blocks.pop()
-    if not prefixes:
-        known = list(map(_PREFIXES.__contains__, blocks))
-        if False in known:  # the first defect is no later than this block
-            del blocks[known.index(False) + 1 :]
+    known = list(map(_PREFIXES.__contains__, blocks))
+    if False in known:  # the first defect is no later than this block
+        del blocks[known.index(False) + 1 :]
     lengths = list(map(len, blocks))
     lengths[-1] = min(lengths[-1], BLOCK_UNITS) or 1
     raise _occupant_mismatch(occupant, _render(lengths), base_offset)

@@ -1,6 +1,6 @@
 import pytest
 
-from fbar import transtable
+from fbar import gridfile, transtable
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +16,13 @@ def tt_grouped():
 @pytest.fixture(scope="session")
 def set4():
     return transtable.TtSet4.canonical()
+
+
+def occupant_stream(data):
+    """Raw occupant stream of paper-format bytes, read through gridfile's
+    field table; checks magic and truncation only."""
+    reader = gridfile._Reader(data, gridfile._PAPER_FIELDS, gridfile.GRID_MAGIC)
+    for name, _ in gridfile._PAPER_FIELDS[1:]:
+        field = reader.next()
+        if name == "occupant stream":
+            return bytes(field)

@@ -18,7 +18,8 @@ from fbar.codec import (
     roundtrip,
 )
 from fbar.gridfile import MODE_1TT, MODE_4TT
-from test_gridfile import HONEST_HEADER_LEN, occupant_stream
+from conftest import occupant_stream
+from test_gridfile import HONEST_HEADER_LEN
 
 
 def test_resolved_1tt_paper(tt):

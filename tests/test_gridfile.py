@@ -24,6 +24,8 @@ from fbar.gridfile import (
 )
 from fbar.transtable import OCCUPANT_ALPHABET
 
+from conftest import occupant_stream
+
 
 def rows_for(text):
     data = text.encode() if isinstance(text, str) else text
@@ -75,16 +77,6 @@ def test_named_offsets_match_the_field_tables():
     assert OCCUPANT_AT == paper["occupant stream"] + sizes["occupant stream"]
     honest, sizes = _field_starts(gridfile._HONEST_FIELDS), dict(gridfile._HONEST_FIELDS)
     assert HONEST_HEADER_LEN == honest["row stream"] + sizes["row stream"]
-
-
-def occupant_stream(data):
-    """Raw occupant stream of paper-format bytes, read through gridfile's
-    field table; checks magic and truncation only."""
-    reader = gridfile._Reader(data, gridfile._PAPER_FIELDS, GRID_MAGIC)
-    for name, _ in gridfile._PAPER_FIELDS[1:]:
-        field = reader.next()
-        if name == "occupant stream":
-            return bytes(field)
 
 
 def with_occupant(data, occupant):
@@ -822,9 +814,6 @@ def rendered_mutations(draw):
 @example(gridfile._render([95, 95])[:-1])  # full final block, no separator
 @example(gridfile._render([95, 94]) + b"\x02")  # partial, with one
 @example(OCCUPANT_ALPHABET + b"a")  # 96 chars in one block
-@example(gridfile._render([1] * 5000)[:-2] + b"\x07a")  # the last separator off the cycle
-@example(gridfile._render([1] * 5000)[:-3] + b"\x01\x01a")  # off the cycle, then an empty block
-@example(gridfile._render([1] * 40 + [2] * 40)[:81] + b"\x09" + b"x" * 99)  # then no prefix
 def test_canonical_check_agrees_on_mutated_renderings(occupant):
     assert_same_verdict(occupant)
 
