@@ -3,11 +3,11 @@
 1-TT mode maps every 2-byte pair to one occupant char plus one row;
 4-TT mode maps every 8-byte chunk (4 pairs, each coded by the same
 table) to one occupant char plus four rows.  Either pipeline emits the
-paper-style or the honest artifact format and is lossless for
-arbitrary byte input, including odd lengths.  Rows travel from the
-kernel to the artifact and back only as a row stream.  Decompression
-reads the mode from the artifact, so any verified table decodes any
-artifact.
+paper-style or the honest artifact format and is lossless for any
+bytes-like input, taken as its bytes, including odd lengths.  Rows
+travel from the kernel to the artifact and back only as a row stream.
+Decompression reads the mode from the artifact, so any verified table
+decodes any artifact.
 """
 
 import time
@@ -43,6 +43,11 @@ class _Kept:
         self.data = data
 
 
+def _as_bytes(data):
+    """``data`` itself when it is bytes, else a copy of its buffer's bytes."""
+    return data if type(data) is bytes else memoryview(data).tobytes()
+
+
 def encode_rows(data, layout="interleaved"):
     """The row stream of every complete pair of the input, plus the tail byte."""
     tail = data[-1] if len(data) % 2 else None
@@ -59,7 +64,8 @@ def compress(job: CompressJob) -> CompressResult:
     layout = job.tables.layout
 
     start = time.perf_counter()
-    stream, tail = encode_rows(job.data, layout)
+    data = _as_bytes(job.data)
+    stream, tail = encode_rows(data, layout)
     sink = _Kept()
     if job.fmt == FORMAT_PAPER:
         summary = gridfile.write_grid(stream, job.mode, sink, tail)
@@ -73,7 +79,7 @@ def compress(job: CompressJob) -> CompressResult:
 
     artifact = sink.data
     report = metrics.build_report(
-        job.data,
+        data,
         job.mode,
         job.fmt,
         time.perf_counter() - start,
@@ -89,18 +95,19 @@ def compress(job: CompressJob) -> CompressResult:
 
 def decompress(job: DecompressJob) -> bytes:
     """Reconstruct the original input; bit-identical to what was compressed."""
-    kind = gridfile.artifact_kind(job.artifact)
+    artifact = _as_bytes(job.artifact)
+    kind = gridfile.artifact_kind(artifact)
     if kind is None:
-        magic = bytes(job.artifact[: len(gridfile.GRID_MAGIC)])
+        magic = artifact[: len(gridfile.GRID_MAGIC)]
         raise GridFormatError(f"unrecognized artifact magic {magic!r}", offset=0)
     if kind == "paper":
-        parsed = gridfile.parse_grid(job.artifact)
+        parsed = gridfile.parse_grid(artifact)
         if job.mode is not None and parsed.mode != job.mode:
             raise ModeMismatchError(
                 f"artifact mode {parsed.mode} does not match requested {job.mode}"
             )
     else:
-        parsed = gridfile.parse_honest(job.artifact)
+        parsed = gridfile.parse_honest(artifact)
 
     tt = job.tables
     tt.ensure_verified()

@@ -60,7 +60,7 @@ TAIL_MARKER = 0x00
 
 MODE_1TT = "1tt"
 MODE_4TT = "4tt"
-_MODE_BYTES = {MODE_1TT: 1, MODE_4TT: 4}
+_MODE_BYTES = {MODE_1TT: 1, MODE_4TT: 4}  # a mode's header byte is its rows per unit
 _MODE_NAMES = {v: k for k, v in _MODE_BYTES.items()}
 _KINDS = {GRID_MAGIC: "paper", HONEST_MAGIC: "honest"}
 
@@ -164,7 +164,7 @@ def _tail_bytes(tail):
 
 def _unit_count(pair_count, mode):
     """Units of a stream of ``pair_count`` rows: one row each, or four (the last maybe fewer)."""
-    return pair_count if mode == MODE_1TT else -(-pair_count // 4)
+    return -(-pair_count // _MODE_BYTES[mode])
 
 
 def _pair_count(stream):
@@ -207,7 +207,7 @@ def _block_lengths(stream, mode):
     is laid out without the loop past its first unit: each later copy
     is a one-unit block, and the last of them is the current block.
     """
-    per_unit = 1 if mode == MODE_1TT else 4
+    per_unit = _MODE_BYTES[mode]
     partial = len(stream) // 2 % per_unit
     if partial:  # fill a partial last unit up with its first row, which cannot collide
         stream = bytes(stream) + bytes(stream[-2 * partial :][:2]) * (per_unit - partial)
@@ -266,7 +266,7 @@ def _render(block_units):
 
 def _region(stream, mode, first, units):
     """The grid region: the chars of ``units`` units from unit ``first`` at their rows."""
-    per_unit = 1 if mode == MODE_1TT else 4
+    per_unit = _MODE_BYTES[mode]
     region = bytearray(GRID_REGION_BYTES)
     rows = addressing.row_array(stream[2 * per_unit * first : 2 * per_unit * (first + units)])
     for i, r in enumerate(rows):

@@ -1,5 +1,6 @@
 import io
 import time
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -222,6 +223,33 @@ def test_parsed_stream_keeps_its_snapshot(fmt, tt):
     artifact.extend(b"!")  # a view still exported from it would make this raise BufferError
     assert parsed.stream == stream and parsed.tail == ord("!")
     assert restored == data
+
+
+# Buffers whose items are not bytes: each is taken as its bytes.
+NOT_BYTES = {
+    "array H, 3 items": array("H", [1, 2, 3]),
+    "array H, 2 items": array("H", [1, 2]),
+    "view cast to H": memoryview(b"abcdef").cast("H"),
+    "bytearray": bytearray(b"resolved!"),
+}
+
+
+@pytest.mark.parametrize("fmt", codec.FORMATS)
+@pytest.mark.parametrize("mode", (MODE_1TT, MODE_4TT))
+@pytest.mark.parametrize("name", sorted(NOT_BYTES))
+def test_any_buffer_is_taken_as_its_bytes(name, mode, fmt, tt):
+    data = NOT_BYTES[name]
+    raw = memoryview(data).tobytes()
+    result, restored = roundtrip(data, tt, mode=mode, fmt=fmt)
+    assert restored == raw
+    assert result.report.input_size == len(raw)
+    assert result.report.honest_size >= len(raw)
+    # an artifact of 2-byte items decodes as its bytes; every honest one has even length
+    assert len(result.artifact) % 2 == 0 or fmt == FORMAT_PAPER
+    if len(result.artifact) % 2 == 0:
+        items = array("H")
+        items.frombytes(result.artifact)
+        assert decompress(DecompressJob(artifact=items, tables=tt)) == raw
 
 
 @pytest.mark.parametrize("layout", addressing.LAYOUTS)

@@ -254,6 +254,21 @@ def test_build_report_fields():
     assert "resolved" not in report.render_table()
 
 
+def test_report_derives_its_nominal_figures():
+    report = metrics.MetricsReport(b"resolved!", "4tt", "honest", 0.5, None, 10, 24)
+    assert report.input_size == 9
+    assert report.paper_size_1tt == metrics.paper_size(9, "1tt")
+    assert report.paper_size_4tt == 2
+    assert report.space_savings_paper == 1.0 - 2 / 9
+    assert report.fbar_H == 0
+    assert report.manipulation_total == 40
+    derived = ("paper_size_1tt", "paper_size_4tt", "space_savings_paper", "fbar_H",
+               "manipulation_total")
+    for name in derived:
+        with pytest.raises(AttributeError):
+            setattr(report, name, 0)
+
+
 def test_audit_reports_never_share_defaults():
     a, b = AuditReport(True, 65536), AuditReport(True, 65536)
     a.violations.append((0, "row 0"))
