@@ -49,7 +49,9 @@ def _as_bytes(data):
 
 
 def encode_rows(data, layout="interleaved"):
-    """The row stream of every complete pair of the input, plus the tail byte."""
+    """The row stream of every complete pair of the input, any bytes-like
+    object taken as its bytes, plus the tail byte."""
+    data = _as_bytes(data)
     tail = data[-1] if len(data) % 2 else None
     return addressing.encode_stream(data, layout), tail
 

@@ -34,12 +34,14 @@ and a span that is one unit repeated becomes that many one-unit blocks
 with only its first unit looked up, and _render emits each chunk of
 one-unit blocks as one constant.  The parser checks each field as it
 reads it, in file order.  It accepts the occupant stream when it is
-_render's output for its own blocks, checked in one pass over its bytes
-(each char must be the successor of the byte before it, the separators
-must follow their cycle) without rendering again or making an object
-per block.  Otherwise it names the first byte where the stream departs
-from the rendering of its own blocks.  It does not derive the lengths
-from the rows: an early restart without a collision, or a repeated row
+_render's output for its own blocks, which it checks without rendering
+again or making an object per block: the stream is translated once to
+its ordinals (0 for a separator, n for the n-th char), where each char
+must be the ordinal after the byte before it, tested a span of bytes
+at a time as one integer, and its separators alone must follow their
+cycle.  Otherwise it names the first byte where the stream departs from
+the rendering of its own blocks.  It does not derive the lengths from
+the rows: an early restart without a collision, or a repeated row
 inside a 1tt block, still parses.
 """
 
@@ -100,7 +102,8 @@ _CHUNK = len(_PIECES) * 128
 _ONE_UNIT_BLOCKS = [1] * _CHUNK
 _ONE_UNIT_CHUNK = b"".join(pieces[1] for pieces in _PIECES) * (_CHUNK // len(_PIECES))
 # _block_lengths reads the rows this many bytes at a time: 4,096 1tt units
-# or 1,024 4tt units.
+# or 1,024 4tt units; _ordinals_ascend reads an occupant stream's ordinals
+# this many bytes at a time.
 _SPAN = 8192
 # Every byte below 32 is read as a separator; translating them all to
 # one marker lets a split find the blocks.
@@ -109,13 +112,15 @@ _NOT_SEPARATORS = bytes(range(32, 256))
 _MARK_SEPARATORS = bytes(32) + _NOT_SEPARATORS
 _CYCLE = bytes(SEPARATOR_CODES)
 _PREFIXES = frozenset(_CHARS[1:])
-# _SUCC[b]: the only char a rendered stream may hold after byte b: the
-# first after a separator, the next after a char, none (0) after the last
-# char or a byte outside the alphabet.  _CHAR_MASK marks the chars (0xFF)
-# and the separators (_MARK).
-_NEXT_CHAR = dict(zip(OCCUPANT_ALPHABET, OCCUPANT_ALPHABET[1:]))
-_SUCC = bytes(OCCUPANT_ALPHABET[0] if b < 32 else _NEXT_CHAR.get(b, 0) for b in range(256))
-_CHAR_MASK = _MARK * 32 + b"\xff" * 224
+# _ORDINALS[b]: a byte's ordinal, 0 for a separator and n for the n-th
+# char; any other byte reads _OTHER, which is no ordinal's successor, so
+# only a separator may follow it.  Every ordinal stays below 0x7F, so the
+# per-byte sums of the span check below never carry into the next byte.
+_OTHER = 0x70
+_ORDINALS = bytes(0 if b < 32 else OCCUPANT_ALPHABET.find(b) + 1 or _OTHER for b in range(256))
+# _ONES has a 1 in each byte of a span, _LOW7 a 0x7F and _HIGH a 0x80.
+_ONES = int.from_bytes(b"\x01" * _SPAN, "little")
+_LOW7, _HIGH = 0x7F * _ONES, _ONES << 7
 
 
 class GridFormatError(Exception):
@@ -368,18 +373,37 @@ class _Reader:
         return tail[1] if tail else None
 
 
+def _ordinals_ascend(ordinals):
+    """Whether each byte of an ordinal image after the first is 0 (a
+    separator) or the byte before it plus one.
+
+    Checked _SPAN bytes at a time, consecutive spans sharing one byte:
+    with s the span's bytes as a little-endian integer and x = s >> 8
+    its bytes from the second on, byte by byte, (x ^ (s + 1)) + 0x7F sets
+    the high bit where a byte is not its predecessor plus one, and
+    x + 0x7F where it is not 0.  Past the span's last byte x is 0.
+    """
+    for at in range(0, len(ordinals) - 1, _SPAN - 1):
+        s = int.from_bytes(ordinals[at : at + _SPAN], "little")
+        x = s >> 8
+        if ((x ^ (s + _ONES)) + _LOW7) & (x + _LOW7) & _HIGH:
+            return False
+    return True
+
+
 def _occupant_blocks(occupant, base_offset):
     """(block count, units, last block's units) of an occupant stream that
     is exactly _render's output for the blocks its separators delimit.
 
     Every block is a prefix of the alphabet exactly when the stream
-    starts with the first char, each char is _SUCC of the byte before it
-    and no two separators touch.  All chars are checked in one pass over
-    the bytes, no block made: one XOR of the integers whose little-endian
-    bytes are the stream from its second byte and the successors of the
-    stream up to its last, masked to the chars.  Besides, the separators
-    must follow the cycle, and the stream ends with one exactly when its
-    last block is full.
+    starts with the first char, in its ordinal image (_ORDINALS) every
+    byte after the first is a separator or the ordinal after the one
+    before it, and no two separators touch: each block then starts with
+    the first char, which no other position holds, so the first char
+    occurs once per block.  The ordinals are checked a span at a time
+    (_ordinals_ascend), no block made.  Besides, the separators must
+    follow the cycle, and the stream ends with one exactly when its last
+    block is full.
 
     Otherwise raises the error for the first byte where it departs from
     the rendering of its own blocks.  Only then is it split into blocks,
@@ -391,17 +415,14 @@ def _occupant_blocks(occupant, base_offset):
         return 0, 0, 0
     separators = occupant.translate(None, _NOT_SEPARATORS)
     cycles, rest = divmod(len(separators), len(_CYCLE))
-    # each byte after the first XOR _SUCC of the byte before it, kept at the chars
-    wrong = int.from_bytes(memoryview(occupant)[1:], "little")
-    wrong ^= int.from_bytes(memoryview(occupant.translate(_SUCC))[:-1], "little")
-    chars = occupant.translate(_CHAR_MASK)
-    wrong &= int.from_bytes(memoryview(chars)[1:], "little")
-    closed = occupant[-1] < 32
-    if (occupant[0] == OCCUPANT_ALPHABET[0] and not wrong and _MARK * 2 not in chars
+    ordinals = occupant.translate(_ORDINALS)
+    closed = ordinals[-1] == 0
+    block_count = len(separators) + (not closed)
+    if (ordinals[0] == 1 and (ordinals[-1 - closed] == BLOCK_UNITS) == closed
+            and ordinals.count(1) == block_count
             and separators == _CYCLE * cycles + _CYCLE[:rest]
-            and (occupant[-1 - closed] == OCCUPANT_ALPHABET[-1]) == closed):
-        last = OCCUPANT_ALPHABET.index(occupant[-1 - closed]) + 1
-        return len(separators) + (not closed), len(occupant) - len(separators), last
+            and _ordinals_ascend(ordinals)):
+        return block_count, len(occupant) - len(separators), ordinals[-1 - closed]
     blocks = occupant.translate(_MARK_SEPARATORS).split(_MARK)
     if closed:
         blocks.pop()
@@ -510,6 +531,7 @@ def parse_honest(data):
 
 
 def artifact_kind(data):
-    """Classify raw artifact bytes by magic: 'paper', 'honest' or None."""
-    return _KINDS.get(bytes(data[: len(GRID_MAGIC)]))
+    """Classify an artifact, any bytes-like object taken as bytes, by its
+    magic: 'paper', 'honest' or None."""
+    return _KINDS.get(bytes(memoryview(data).cast("B")[: len(GRID_MAGIC)]))
 

@@ -240,6 +240,7 @@ NOT_BYTES = {
 def test_any_buffer_is_taken_as_its_bytes(name, mode, fmt, tt):
     data = NOT_BYTES[name]
     raw = memoryview(data).tobytes()
+    assert encode_rows(data, tt.layout) == encode_rows(raw, tt.layout)
     result, restored = roundtrip(data, tt, mode=mode, fmt=fmt)
     assert restored == raw
     assert result.report.input_size == len(raw)
@@ -249,6 +250,7 @@ def test_any_buffer_is_taken_as_its_bytes(name, mode, fmt, tt):
     if len(result.artifact) % 2 == 0:
         items = array("H")
         items.frombytes(result.artifact)
+        assert gridfile.artifact_kind(items) == fmt
         assert decompress(DecompressJob(artifact=items, tables=tt)) == raw
 
 

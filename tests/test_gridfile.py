@@ -774,9 +774,56 @@ def assert_same_verdict(occupant):
 
 
 def test_canonical_check_agrees_on_every_short_stream():
+    # bytes outside the alphabet (0x80, 0xFF) share one ordinal, and
+    # gridfile._OTHER, read as a byte, is a char of another ordinal
     for n in range(6):
-        for chars in itertools.product(b"abc\x00\x01\x02\x1f\x80", repeat=n):
+        for chars in itertools.product(b"abc\x00\x01\x02\x1f\x80\xff" + bytes((gridfile._OTHER,)),
+                                       repeat=n):
             assert_same_verdict(bytes(chars))
+
+
+SPAN = gridfile._SPAN
+# Bytes within 2 of where the check's spans meet, whether consecutive
+# spans share a byte (every SPAN - 1 bytes) or not (every SPAN bytes).
+NEAR_SPAN_BOUNDARIES = sorted({b + d for b in (SPAN - 1, SPAN, 2 * SPAN - 2, 2 * SPAN)
+                               for d in range(-2, 3)})
+
+
+def long_renderings():
+    """Renderings longer than two spans: one-unit blocks, full blocks
+    after a 32-unit one (so a full block's last char is byte SPAN - 1, and
+    the last block keeps its separator), and drawn lengths ending partial."""
+    rng = random.Random(21)
+    drawn = []
+    while sum(drawn) < 2 * SPAN:
+        drawn.append(rng.choice((1, 2, 3, rng.randint(1, 95), 95)))
+    drawn.append(40)
+    for lengths in ([1] * (SPAN + 8), [32] + [BLOCK_UNITS] * (2 * SPAN // BLOCK_UNITS), drawn):
+        occupant = gridfile._render(lengths)
+        assert len(occupant) > NEAR_SPAN_BOUNDARIES[-1] + 1
+        yield occupant
+
+
+def span_boundary_mutations():
+    """Each long rendering, whole and cut to end near a span boundary, and
+    with one byte changed, deleted or inserted near one: a separator
+    (right, wrong or doubled), a char of the first or last ordinals, a
+    neighbour's byte, or a byte outside the alphabet."""
+    replacements = b"\x00\x01\x02\x1e\x1f" + OCCUPANT_ALPHABET[:3] + OCCUPANT_ALPHABET[-2:] \
+        + bytes((gridfile._OTHER, 0x7F, 0x80, 0xFF))
+    for occupant in long_renderings():
+        yield occupant
+        for at in NEAR_SPAN_BOUNDARIES:
+            yield occupant[: at + 1]
+            yield occupant[:at] + occupant[at + 1 :]
+            for new in replacements + occupant[at - 1 : at] + occupant[at + 1 : at + 2]:
+                yield occupant[:at] + bytes((new,)) + occupant[at + 1 :]
+                yield occupant[:at] + bytes((new,)) + occupant[at:]
+
+
+def test_canonical_check_agrees_across_span_boundaries():
+    for occupant in span_boundary_mutations():
+        assert_same_verdict(occupant)
 
 
 # bytes next to the ones a rendered stream holds: every separator code, 0,
@@ -814,6 +861,7 @@ def rendered_mutations(draw):
 @example(gridfile._render([95, 95])[:-1])  # full final block, no separator
 @example(gridfile._render([95, 94]) + b"\x02")  # partial, with one
 @example(OCCUPANT_ALPHABET + b"a")  # 96 chars in one block
+@example(OCCUPANT_ALPHABET + b"\x80")  # no char, where a full block's separator belongs
 def test_canonical_check_agrees_on_mutated_renderings(occupant):
     assert_same_verdict(occupant)
 
