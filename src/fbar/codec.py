@@ -113,8 +113,7 @@ def decompress(job: DecompressJob) -> bytes:
 
     tt = job.tables
     tt.ensure_verified()
-    inverse = addressing.inverse_of_table(tt.originals, tt.layout)
-    return addressing.decode_stream(parsed.stream, tt.layout, inverse, parsed.tail)
+    return addressing.decode_stream(parsed.stream, tt.layout, tt.inverse(), parsed.tail)
 
 
 def roundtrip(data, tables, mode=MODE_1TT, fmt=FORMAT_PAPER):

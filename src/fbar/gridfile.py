@@ -35,7 +35,13 @@ with only its first unit looked up, and _render emits each chunk of
 one-unit blocks as one constant.  The parser checks each field as it
 reads it, in file order.  It accepts the occupant stream when it is
 _render's output for its own blocks, which it checks without rendering
-again or making an object per block: the stream is translated once to
+again or making an object per block.  First it sets aside each copy of
+that constant which starts where the separator cycle does (at the
+stream's start or right after separator 31) and does not end the
+stream, found with one search per run of copies and one compare per
+copy: such a copy is valid wherever it stands, since it holds whole
+cycles, starts a block and ends with a separator, so the stream is
+valid exactly when what is left is.  What is left is translated once to
 its ordinals (0 for a separator, n for the n-th char), where each char
 must be the ordinal after the byte before it, tested a span of bytes
 at a time as one integer, and its separators alone must follow their
@@ -101,6 +107,8 @@ _PIECES = [[chars + sep for chars in _CHARS] for sep in _SEPARATORS]
 _CHUNK = len(_PIECES) * 128
 _ONE_UNIT_BLOCKS = [1] * _CHUNK
 _ONE_UNIT_CHUNK = b"".join(pieces[1] for pieces in _PIECES) * (_CHUNK // len(_PIECES))
+# That chunk where the cycle starts afresh: right after its last separator.
+_AFTER_CYCLE = _SEPARATORS[-1] + _ONE_UNIT_CHUNK
 # _block_lengths reads the rows this many bytes at a time: 4,096 1tt units
 # or 1,024 4tt units; _ordinals_ascend reads an occupant stream's ordinals
 # this many bytes at a time.
@@ -391,9 +399,43 @@ def _ordinals_ascend(ordinals):
     return True
 
 
+def _without_one_unit_chunks(occupant):
+    """(the stream left, chunks taken): the stream without each copy of
+    _ONE_UNIT_CHUNK that starts it or follows separator 31, and does not
+    end it.
+
+    The first copy of a run is found with one search, and each next copy
+    of the run with one compare where the last one ends.
+    """
+    size, end = len(_ONE_UNIT_CHUNK), len(occupant) - 1  # no copy taken ends the stream
+    if occupant.startswith(_ONE_UNIT_CHUNK, 0, end):
+        at = 0
+    else:
+        at = occupant.find(_AFTER_CYCLE, 0, end) + 1 or -1
+    kept, done = [], 0
+    while at >= 0:
+        kept.append(occupant[done:at])
+        done = at + size
+        while occupant.startswith(_ONE_UNIT_CHUNK, done, end):
+            done += size
+        at = occupant.find(_AFTER_CYCLE, done, end) + 1 or -1
+    left = b"".join(kept + [occupant[done:]])  # the stream itself when nothing is taken
+    return left, (len(occupant) - len(left)) // size
+
+
 def _occupant_blocks(occupant, base_offset):
     """(block count, units, last block's units) of an occupant stream that
     is exactly _render's output for the blocks its separators delimit.
+
+    Each copy of _ONE_UNIT_CHUNK where the cycle starts afresh (at the
+    stream's start or right after separator 31) and that does not end the
+    stream is set aside first (_without_one_unit_chunks), as _CHUNK
+    one-unit blocks.  Such a copy is valid wherever it stands: it starts
+    a block and holds whole cycles of separators, so the separators after
+    it keep their place in the cycle, and the byte after it follows a
+    separator, as it does in what is left (or starts it).  At the end a
+    copy would close a one-unit final block with a separator.  So the
+    stream is valid exactly when what is left is.
 
     Every block is a prefix of the alphabet exactly when the stream
     starts with the first char, in its ordinal image (_ORDINALS) every
@@ -405,24 +447,26 @@ def _occupant_blocks(occupant, base_offset):
     follow the cycle, and the stream ends with one exactly when its last
     block is full.
 
-    Otherwise raises the error for the first byte where it departs from
-    the rendering of its own blocks.  Only then is it split into blocks,
-    which are rendered as far as the first that is no prefix of the
-    alphabet, held to 1..95 units: an empty or over-long block has no
-    rendering.
+    Otherwise raises the error for the first byte where the whole stream
+    departs from the rendering of its own blocks.  Only then is it split
+    into blocks, which are rendered as far as the first that is no prefix
+    of the alphabet, held to 1..95 units: an empty or over-long block has
+    no rendering.
     """
     if not occupant:
         return 0, 0, 0
-    separators = occupant.translate(None, _NOT_SEPARATORS)
+    left, chunks = _without_one_unit_chunks(occupant)
+    separators = left.translate(None, _NOT_SEPARATORS)
     cycles, rest = divmod(len(separators), len(_CYCLE))
-    ordinals = occupant.translate(_ORDINALS)
+    ordinals = left.translate(_ORDINALS)
     closed = ordinals[-1] == 0
     block_count = len(separators) + (not closed)
     if (ordinals[0] == 1 and (ordinals[-1 - closed] == BLOCK_UNITS) == closed
             and ordinals.count(1) == block_count
             and separators == _CYCLE * cycles + _CYCLE[:rest]
             and _ordinals_ascend(ordinals)):
-        return block_count, len(occupant) - len(separators), ordinals[-1 - closed]
+        return (block_count + chunks * _CHUNK, len(left) - len(separators) + chunks * _CHUNK,
+                ordinals[-1 - closed])
     blocks = occupant.translate(_MARK_SEPARATORS).split(_MARK)
     if closed:
         blocks.pop()

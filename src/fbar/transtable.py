@@ -60,6 +60,7 @@ class TranslationTable:
         self._originals = bytes(originals)
         self.layout = layout
         self._verified_ok = False
+        self._inverses = {}  # layout -> F's inverse read from the records
 
     @property
     def originals(self):
@@ -74,6 +75,15 @@ class TranslationTable:
 
     def __repr__(self):
         return f"{type(self).__name__}(rows={self.row_count}, layout={self.layout!r})"
+
+    def inverse(self):
+        """F's inverse as the records store it under the table's layout
+        (addressing.inverse_of_table), built on first use per layout."""
+        inverse = self._inverses.get(self.layout)
+        if inverse is None:
+            inverse = addressing.inverse_of_table(self._originals, self.layout)
+            self._inverses[self.layout] = inverse
+        return inverse
 
     def ensure_verified(self):
         """Verify once and cache; raises TtError on any violation."""

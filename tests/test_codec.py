@@ -179,6 +179,26 @@ def test_corrupt_table_refused():
         compress(CompressJob(data=b"hi", tables=broken))
 
 
+@pytest.mark.parametrize("layout", addressing.LAYOUTS)
+def test_table_reads_its_inverse_once(layout, monkeypatch):
+    builds, build = [], addressing.inverse_of_table
+
+    def inverse_of_table(originals, layout):
+        builds.append(layout)
+        return build(originals, layout)
+
+    table = transtable.generate_tt(layout)
+    artifact = compress(CompressJob(data=b"read once!", tables=table)).artifact
+    monkeypatch.setattr(addressing, "inverse_of_table", inverse_of_table)
+    for _ in range(2):
+        assert decompress(DecompressJob(artifact=artifact, tables=table)) == b"read once!"
+    assert builds == [layout]
+    # keyed by layout: a table read under the other layout gets its own
+    for read_as in addressing.LAYOUTS:
+        table.layout = read_as
+        assert table.inverse() == build(table.originals, read_as)
+
+
 def test_grouped_layout_roundtrip(tt_grouped):
     data = b"layouts only need to be self-consistent"
     result, restored = roundtrip(data, tt_grouped)

@@ -826,6 +826,51 @@ def test_canonical_check_agrees_across_span_boundaries():
         assert_same_verdict(occupant)
 
 
+CHUNK, ONE_UNIT_CHUNK = gridfile._CHUNK, gridfile._ONE_UNIT_CHUNK
+
+
+def chunk_renderings():
+    """(rendering, offsets near its copies of ONE_UNIT_CHUNK): runs of one-
+    unit blocks just under, at and past one and two chunks, at the start,
+    after drawn and full blocks (at cycle phase 4, or at phase 0 after a
+    full block), and at the end.  The copies are the ones a left-to-right
+    scan takes, each at the start or after separator 31; the offsets are
+    within 2 bytes of each copy's and the run's start and end."""
+    size = len(ONE_UNIT_CHUNK)
+    befores = ([], [3, 95, 2, 95], [3, 95, 2] + [BLOCK_UNITS] * 28)
+    for ones in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5):
+        for before, after in itertools.product(befores, ([], [2, 95, 1])):
+            occupant = gridfile._render(before + [1] * ones + after)
+            run = len(gridfile._render(before + [1])) - 1
+            ends = [run, run + 2 * ones]
+            at = run
+            while (at := occupant.find(ONE_UNIT_CHUNK, at)) >= 0:
+                if at == 0 or occupant[at - 1] == SEPARATOR_CODES[-1]:
+                    ends += (at, at + size)
+                    at += size
+                else:
+                    at += 1
+            yield occupant, sorted({e + d for e in ends for d in range(-2, 3)
+                                    if 0 <= e + d <= len(occupant)})
+
+
+def test_canonical_check_agrees_around_one_unit_chunks():
+    # a chunk holds whole separator cycles, so where the cycle starts
+    # afresh, a copy of it is valid whatever stands around it
+    assert CHUNK % len(SEPARATOR_CODES) == 0
+    assert ONE_UNIT_CHUNK == gridfile._render([1] * (CHUNK + 1))[:-1]
+    for occupant, offsets in chunk_renderings():
+        assert_same_verdict(occupant)
+        for at in offsets:
+            assert_same_verdict(occupant[:at] + ONE_UNIT_CHUNK + occupant[at:])
+            if at == len(occupant):
+                continue
+            assert_same_verdict(occupant[:at] + occupant[at + 1 :])
+            for new in b"\x1f\x01ab\x80":
+                if new != occupant[at]:
+                    assert_same_verdict(occupant[:at] + bytes((new,)) + occupant[at + 1 :])
+
+
 # bytes next to the ones a rendered stream holds: every separator code, 0,
 # and the first and last ordinals, plus anything else
 nearby_bytes = st.one_of(
