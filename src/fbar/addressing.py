@@ -23,8 +23,11 @@ interleaved row with its two middle nibbles swapped, a swap that is its
 own inverse.  A "row stream" holds each row as 2 big-endian bytes, so
 the interleaved row stream of an even-length input is the input
 translated through F, and decoding translates it back through F's
-inverse; the grouped layout adds the nibble swap on both sides.  The
-scalar functions below are the reference the kernel is tested against.
+inverse; the grouped layout adds the nibble swap on both sides.  F and
+its inverse are derived here once, and decoding always uses them: a
+translation table is only verified against ``pair_table``, never read
+for its inverse.  The scalar functions below are the reference the
+kernel is tested against.
 """
 
 import sys
@@ -117,14 +120,6 @@ def _all_rows():
 # (x << 8 | x2) order.
 ALL_ROWS = _all_rows()
 
-# The row whose interleaved form is (a << 8), for every byte a: the
-# first byte of the pair stored there is F_inv[a].
-_INVERSE_ROWS = {
-    "interleaved": range(0, ROWS, 256),
-    "grouped": [(a >> 4) << 12 | (a & 0x0F) << 4 for a in range(256)],
-}
-
-
 def _regroup(stream, layout):
     """Convert a row stream between the interleaved and the given layout.
 
@@ -154,23 +149,15 @@ def encode_stream(data, layout="interleaved"):
     return _regroup(memoryview(rows)[:-1] if len(rows) % 2 else rows, layout)
 
 
-def decode_stream(stream, layout="interleaved", inverse=_F_INV, tail=None):
+def decode_stream(stream, layout="interleaved", tail=None):
     """Pairs of a row stream, then ``tail``, the odd last byte, when given;
     exact inverse of encode_stream.
 
-    ``inverse`` is F's inverse, by default the one derived here; a codec
-    passes the one read from its translation table (inverse_of_table).
-    The tail joins the regrouped rows as its pre-image under ``inverse``,
-    so one join and one translate build the whole output.
+    The tail joins the regrouped rows as its image under F, so one join
+    and one translate through F's inverse build the whole output.
     """
-    tail = b"" if tail is None else bytes((inverse.index(tail),))
-    return b"".join((_regroup(stream, layout), tail)).translate(inverse)
-
-
-def inverse_of_table(originals, layout="interleaved"):
-    """F's inverse as a translation table's originals buffer stores it."""
-    _check_layout(layout)
-    return bytes(originals[2 * row] for row in _INVERSE_ROWS[layout])
+    tail = b"" if tail is None else _F[tail : tail + 1]
+    return b"".join((_regroup(stream, layout), tail)).translate(_F_INV)
 
 
 def row_array(stream):

@@ -20,7 +20,7 @@ import os
 import sys
 import time
 
-from . import codec, gridfile, metrics, transtable
+from . import addressing, codec, gridfile, metrics, transtable
 from .codec import CompressJob, DecompressJob, ModeMismatchError
 from .gridfile import MODE_1TT, MODE_4TT, GridFormatError
 from .transtable import TtError, TtFormatError
@@ -96,9 +96,7 @@ def cmd_gen_tt(args):
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise _Failure(EXIT_USAGE, f"cannot create {out_dir}: {exc}")
-    tt = transtable.generate_tt(args.layout)
-    if not transtable.verify_tt(tt).ok:
-        raise _Failure(EXIT_AUDIT_FAIL, "generated table failed verification")
+    tt = _verified(transtable.generate_tt(args.layout))
     ext = "txt" if args.format == "text" else "bin"
     writer = (
         transtable.serialize_text if args.format == "text" else transtable.serialize_binary
@@ -280,7 +278,7 @@ def _HelpFormatter(prog, width=None, **kwargs):
 
 
 _LAYOUT = ("--layout", {
-    "choices": ("interleaved", "grouped"), "default": "interleaved",
+    "choices": addressing.LAYOUTS, "default": "interleaved",
     "help": "address coordinate layout (must match end to end)",
 })
 _REPORT = ("--report", {"choices": ("table", "kv"), "default": "table", "help": "report rendering"})

@@ -113,7 +113,7 @@ def decompress(job: DecompressJob) -> bytes:
 
     tt = job.tables
     tt.ensure_verified()
-    return addressing.decode_stream(parsed.stream, tt.layout, tt.inverse(), parsed.tail)
+    return addressing.decode_stream(parsed.stream, tt.layout, parsed.tail)
 
 
 def roundtrip(data, tables, mode=MODE_1TT, fmt=FORMAT_PAPER):

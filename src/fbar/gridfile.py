@@ -35,20 +35,16 @@ with only its first unit looked up, and _render emits each chunk of
 one-unit blocks as one constant.  The parser checks each field as it
 reads it, in file order.  It accepts the occupant stream when it is
 _render's output for its own blocks, which it checks without rendering
-again or making an object per block.  First it sets aside each copy of
-that constant which starts where the separator cycle does (at the
-stream's start or right after separator 31) and does not end the
-stream, found with one search per run of copies and one compare per
-copy: such a copy is valid wherever it stands, since it holds whole
-cycles, starts a block and ends with a separator, so the stream is
-valid exactly when what is left is.  What is left is translated once to
-its ordinals (0 for a separator, n for the n-th char), where each char
-must be the ordinal after the byte before it, tested a span of bytes
-at a time as one integer, and its separators alone must follow their
-cycle.  Otherwise it names the first byte where the stream departs from
-the rendering of its own blocks.  It does not derive the lengths from
-the rows: an early restart without a collision, or a repeated row
-inside a 1tt block, still parses.
+again or making an object per block.  First it sets aside the copies
+of that constant that cannot change the verdict; which ones, and why,
+is stated once, at _without_one_unit_chunks.  What is left is
+translated once to its ordinals (0 for a separator, n for the n-th
+char), where each char must be the ordinal after the byte before it,
+tested a span of bytes at a time as one integer, and its separators
+alone must follow their cycle.  Otherwise it names the first byte
+where the stream departs from the rendering of its own blocks.  It
+does not derive the lengths from the rows: an early restart without a
+collision, or a repeated row inside a 1tt block, still parses.
 """
 
 from collections import namedtuple
@@ -401,11 +397,17 @@ def _ordinals_ascend(ordinals):
 
 def _without_one_unit_chunks(occupant):
     """(the stream left, chunks taken): the stream without each copy of
-    _ONE_UNIT_CHUNK that starts it or follows separator 31, and does not
-    end it.
+    _ONE_UNIT_CHUNK where the cycle starts afresh (at the stream's start
+    or right after separator 31) and that does not end the stream.
 
-    The first copy of a run is found with one search, and each next copy
-    of the run with one compare where the last one ends.
+    Such a copy is valid wherever it stands: it starts a block and holds
+    whole cycles of separators, so the separators after it keep their
+    place in the cycle, and the byte after it follows a separator, as it
+    does in what is left (or starts it).  At the end a copy would close
+    a one-unit final block with a separator.  So the stream is valid
+    exactly when what is left is.  The first copy of a run is found with
+    one search, and each next copy of the run with one compare where the
+    last one ends.
     """
     size, end = len(_ONE_UNIT_CHUNK), len(occupant) - 1  # no copy taken ends the stream
     if occupant.startswith(_ONE_UNIT_CHUNK, 0, end):
@@ -427,15 +429,8 @@ def _occupant_blocks(occupant, base_offset):
     """(block count, units, last block's units) of an occupant stream that
     is exactly _render's output for the blocks its separators delimit.
 
-    Each copy of _ONE_UNIT_CHUNK where the cycle starts afresh (at the
-    stream's start or right after separator 31) and that does not end the
-    stream is set aside first (_without_one_unit_chunks), as _CHUNK
-    one-unit blocks.  Such a copy is valid wherever it stands: it starts
-    a block and holds whole cycles of separators, so the separators after
-    it keep their place in the cycle, and the byte after it follows a
-    separator, as it does in what is left (or starts it).  At the end a
-    copy would close a one-unit final block with a separator.  So the
-    stream is valid exactly when what is left is.
+    The chunks that _without_one_unit_chunks sets aside first count as
+    _CHUNK one-unit blocks each, and the checks below run on what is left.
 
     Every block is a prefix of the alphabet exactly when the stream
     starts with the first char, in its ordinal image (_ORDINALS) every

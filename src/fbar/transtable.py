@@ -4,7 +4,7 @@ A table is exactly 65,536 records; row r stores the 2-byte pair whose
 flag address linearizes to r.  Two serializations are provided: a
 fixed-width text form of exactly 65,536 x 128 bytes = 8 MiB, and a
 compact binary form with a magic header and its records in row order.
-Tables are immutable after construction and safe to share.
+A table's records are immutable after construction and safe to share.
 """
 
 import itertools
@@ -50,7 +50,11 @@ class TtFormatError(TtError):
 
 
 class TranslationTable:
-    """Immutable row -> original-pair dictionary of exactly 65,536 rows."""
+    """Row -> original-pair dictionary of exactly 65,536 immutable records.
+
+    ``layout`` is a plain attribute; a table relabelled with another
+    layout is verified again before it codes anything.
+    """
 
     row_count = TT_ROWS
 
@@ -59,8 +63,7 @@ class TranslationTable:
             raise TtError(f"originals buffer of {len(originals)} bytes, expected {2 * TT_ROWS}")
         self._originals = bytes(originals)
         self.layout = layout
-        self._verified_ok = False
-        self._inverses = {}  # layout -> F's inverse read from the records
+        self._verified_layout = None  # the layout the records last passed under
 
     @property
     def originals(self):
@@ -76,22 +79,13 @@ class TranslationTable:
     def __repr__(self):
         return f"{type(self).__name__}(rows={self.row_count}, layout={self.layout!r})"
 
-    def inverse(self):
-        """F's inverse as the records store it under the table's layout
-        (addressing.inverse_of_table), built on first use per layout."""
-        inverse = self._inverses.get(self.layout)
-        if inverse is None:
-            inverse = addressing.inverse_of_table(self._originals, self.layout)
-            self._inverses[self.layout] = inverse
-        return inverse
-
     def ensure_verified(self):
-        """Verify once and cache; raises TtError on any violation."""
-        if not self._verified_ok:
+        """Verify once per layout and cache; raises TtError on any violation."""
+        if self._verified_layout != self.layout:
             report = verify_tt(self)
             if not report.ok:
                 raise TtError(f"table failed verification: {report.violations[0][1]}")
-            self._verified_ok = True
+            self._verified_layout = self.layout
 
 
 def generate_tt(layout="interleaved"):
@@ -239,7 +233,7 @@ class TtSet4(TranslationTable):
         if not all(t == first for t in tables[1:]):
             raise TtError("the 4 tables of a set must be identical")
         super().__init__(first.originals, first.layout)
-        self._verified_ok = first._verified_ok
+        self._verified_layout = first._verified_layout
         self.tables = tables
 
     @classmethod

@@ -180,23 +180,18 @@ def test_corrupt_table_refused():
 
 
 @pytest.mark.parametrize("layout", addressing.LAYOUTS)
-def test_table_reads_its_inverse_once(layout, monkeypatch):
-    builds, build = [], addressing.inverse_of_table
-
-    def inverse_of_table(originals, layout):
-        builds.append(layout)
-        return build(originals, layout)
-
+def test_relabelled_table_is_verified_again(layout):
+    data = b"resolved! relabelled"
     table = transtable.generate_tt(layout)
-    artifact = compress(CompressJob(data=b"read once!", tables=table)).artifact
-    monkeypatch.setattr(addressing, "inverse_of_table", inverse_of_table)
-    for _ in range(2):
-        assert decompress(DecompressJob(artifact=artifact, tables=table)) == b"read once!"
-    assert builds == [layout]
-    # keyed by layout: a table read under the other layout gets its own
-    for read_as in addressing.LAYOUTS:
-        table.layout = read_as
-        assert table.inverse() == build(table.originals, read_as)
+    artifact = compress(CompressJob(data=data, tables=table)).artifact
+    # the records pass only under the layout they were built for
+    (table.layout,) = set(addressing.LAYOUTS) - {layout}
+    with pytest.raises(transtable.TtError):
+        compress(CompressJob(data=data, tables=table))
+    with pytest.raises(transtable.TtError):
+        decompress(DecompressJob(artifact=artifact, tables=table))
+    table.layout = layout
+    assert decompress(DecompressJob(artifact=artifact, tables=table)) == data
 
 
 def test_grouped_layout_roundtrip(tt_grouped):
