@@ -26,12 +26,14 @@ not reach it.
 
 One routine (_render) lays out the occupant stream from the unit count
 of each block, and one (_region) the grid region from the last block's
-rows.  The writer finds the block lengths with one 65,536-slot table of
-the block that last placed each row, indexed by the row as a native
-16-bit word.  A unit equal to the one before it always starts a block,
-since the two collide: so the writer reads the rows a span at a time,
-and a span that is one unit repeated becomes that many one-unit blocks
-with only its first unit looked up, and _render emits each chunk of
+rows.  A block holds at most 95 units, so the counts travel as bytes,
+one byte per block, from the writer's layout to the render.  The writer
+finds them with one 65,536-slot table of the block that last placed
+each row, indexed by the row as a native 16-bit word.  A unit equal to
+the one before it always starts a block, since the two collide: so the
+writer reads the rows a span at a time, and a span that is one unit
+repeated becomes that many one-unit blocks (a run of 0x01 bytes) with
+only its first unit looked up, and _render emits each chunk of
 one-unit blocks as one constant.  The parser checks each field as it
 reads it, in file order.  It accepts the occupant stream when it is
 _render's output for its own blocks, which it checks without rendering
@@ -42,7 +44,8 @@ translated once to its ordinals (0 for a separator, n for the n-th
 char), where each char must be the ordinal after the byte before it,
 tested a span of bytes at a time as one integer, and its separators
 alone must follow their cycle.  Otherwise it names the first byte
-where the stream departs from the rendering of its own blocks.  It
+where the stream departs from the rendering of its own blocks, each
+held to 1..95 units, which it renders once, whole.  It
 does not derive the lengths from the rows: an early restart without a
 collision, or a repeated row inside a 1tt block, still parses.
 """
@@ -101,7 +104,7 @@ _PIECES = [[chars + sep for chars in _CHARS] for sep in _SEPARATORS]
 # blocks would be 40 times the stream itself.  Every slice so starts the
 # cycle afresh, and a slice of one-unit blocks is always the same bytes.
 _CHUNK = len(_PIECES) * 128
-_ONE_UNIT_BLOCKS = [1] * _CHUNK
+_ONE_UNIT_BLOCKS = b"\x01" * _CHUNK
 _ONE_UNIT_CHUNK = b"".join(pieces[1] for pieces in _PIECES) * (_CHUNK // len(_PIECES))
 # That chunk where the cycle starts afresh: right after its last separator.
 _AFTER_CYCLE = _SEPARATORS[-1] + _ONE_UNIT_CHUNK
@@ -115,7 +118,9 @@ _MARK = b"\x00"
 _NOT_SEPARATORS = bytes(range(32, 256))
 _MARK_SEPARATORS = bytes(32) + _NOT_SEPARATORS
 _CYCLE = bytes(SEPARATOR_CODES)
-_PREFIXES = frozenset(_CHARS[1:])
+# _CLAMPED[n]: a block of n bytes held to 1..95 units, for the rendering
+# that names a defect: an empty or over-long block has no rendering.
+_CLAMPED = bytes(min(n, BLOCK_UNITS) or 1 for n in range(256))
 # _ORDINALS[b]: a byte's ordinal, 0 for a separator and n for the n-th
 # char; any other byte reads _OTHER, which is no ordinal's successor, so
 # only a separator may follow it.  Every ordinal stays below 0x7F, so the
@@ -201,7 +206,8 @@ def _pack(sink, fields, values):
 
 
 def _block_lengths(stream, mode):
-    """Unit count of each block the writer lays out, in stream order.
+    """Unit count of each block the writer lays out, in stream order, as
+    bytes: one byte per block, since a block holds at most 95 units.
 
     A block closes after 95 units, or early, before a unit with a row
     that an earlier unit placed in the block (a collision restart).
@@ -214,7 +220,8 @@ def _block_lengths(stream, mode):
     is still in the current block, so the two collide.  The rows are
     read _SPAN bytes at a time, and a span that is one unit repeated
     is laid out without the loop past its first unit: each later copy
-    is a one-unit block, and the last of them is the current block.
+    is a one-unit block, a 0x01 byte, and the last of them is the
+    current block.
     """
     per_unit = _MODE_BYTES[mode]
     partial = len(stream) // 2 % per_unit
@@ -224,7 +231,7 @@ def _block_lengths(stream, mode):
     words = octets.cast("H")  # a collision needs no byte order
     unit = 2 * per_unit
     last = [-1] * 65536
-    lengths = []
+    lengths = bytearray()
     block = n = 0  # the current block's number and its units so far
     for at in range(0, len(octets), _SPAN):
         span = octets[at : at + _SPAN]
@@ -249,20 +256,23 @@ def _block_lengths(stream, mode):
                 n += 1
         if uniform:  # each later copy closes the block before it and starts its own
             lengths.append(n)
-            lengths += [1] * (copies - 2)
+            lengths += b"\x01" * (copies - 2)
             block, n = block + copies - 1, 1
             for w in part:
                 last[w] = block
     if n:
         lengths.append(n)
-    return lengths
+    return bytes(lengths)
 
 
 def _render(block_units):
-    """The occupant stream of blocks of ``block_units`` units, each count in 1..95.
+    """The occupant stream of blocks of ``block_units`` units: bytes, one
+    count in 1..95 per block.
 
     Every block but the last is closed by the next separator of the
-    cycle; the last keeps its separator only when it is full.
+    cycle; the last keeps its separator only when it is full.  A chunk
+    of _CHUNK one-unit blocks is found with one compare against
+    _ONE_UNIT_BLOCKS and emitted as _ONE_UNIT_CHUNK.
     """
     chunks = (block_units[at : at + _CHUNK] for at in range(0, len(block_units), _CHUNK))
     occupant = b"".join([
@@ -299,18 +309,21 @@ def write_grid(stream, mode, sink, tail=None):
     units = _unit_count(pair_count, mode)
     last = lengths[-1] if lengths else 0
     occupant = _render(lengths)
+    separators = len(occupant) - units
+    block_count = len(lengths)
+    # a separator closes a full block or a collision restart
+    collision_restarts = separators - lengths.count(BLOCK_UNITS)
+    del lengths  # not held while the artifact is joined
     region = _region(stream, mode, units - last, last)
     total = _pack(sink, _PAPER_FIELDS, (GRID_MAGIC, VERSION, _MODE_BYTES[mode], pair_count,
                                         region, occupant, stream, tail_bytes))
-    separators = len(occupant) - units
     return GridArtifact(
         mode=mode,
         pair_count=pair_count,
         occupant_len=len(occupant),
         separator_count=separators,
-        block_count=len(lengths),
-        # every full block holds the last alphabet char once and keeps its separator
-        collision_restarts=separators - occupant.count(OCCUPANT_ALPHABET[-1]),
+        block_count=block_count,
+        collision_restarts=collision_restarts,
         address_len=len(stream),
         tail_len=len(tail_bytes),
         total_len=total,
@@ -444,9 +457,12 @@ def _occupant_blocks(occupant, base_offset):
 
     Otherwise raises the error for the first byte where the whole stream
     departs from the rendering of its own blocks.  Only then is it split
-    into blocks, which are rendered as far as the first that is no prefix
-    of the alphabet, held to 1..95 units: an empty or over-long block has
-    no rendering.
+    into blocks, whose sizes, as bytes, are held to 1..95 units by one
+    translate (an empty or over-long block has no rendering) and rendered
+    once, whole.  Every block before the first that is no prefix of the
+    alphabet renders as it stands, and that block departs from its
+    rendering within its own bytes or at the byte after its 95th, so what
+    follows it cannot move the first difference.
     """
     if not occupant:
         return 0, 0, 0
@@ -465,12 +481,10 @@ def _occupant_blocks(occupant, base_offset):
     blocks = occupant.translate(_MARK_SEPARATORS).split(_MARK)
     if closed:
         blocks.pop()
-    known = list(map(_PREFIXES.__contains__, blocks))
-    if False in known:  # the first defect is no later than this block
-        del blocks[known.index(False) + 1 :]
-    lengths = list(map(len, blocks))
-    lengths[-1] = min(lengths[-1], BLOCK_UNITS) or 1
-    raise _occupant_mismatch(occupant, _render(lengths), base_offset)
+    sizes = list(map(len, blocks))
+    if max(sizes) > 255:
+        sizes = [min(size, BLOCK_UNITS) for size in sizes]
+    raise _occupant_mismatch(occupant, _render(bytes(sizes).translate(_CLAMPED)), base_offset)
 
 
 def _first_difference(got, want):

@@ -1,5 +1,6 @@
 import io
 import time
+import tracemalloc
 from array import array
 
 import pytest
@@ -327,3 +328,23 @@ def test_report_elapsed_covers_report_building(tt, monkeypatch):
     assert report.empirical_H == entropy(b"resolved")
     assert len(entropy_calls) == 1
     assert (report.elapsed, report.throughput) == (elapsed, throughput)
+
+
+def test_paper_compress_of_zeros_peaks_near_its_artifact(tt):
+    # 512 KiB of zeros is 262,144 one-unit 1tt blocks.  Their lengths
+    # travel as one byte each and are dropped before the artifact is
+    # joined, so compress holds little beyond the artifact and the two
+    # channels it joins (the row stream and the occupant stream).
+    data = bytes(512 * 1024)
+    stream, _ = encode_rows(data, tt.layout)
+    for mode in (MODE_1TT, MODE_4TT):
+        assert type(gridfile._block_lengths(stream, mode)) is bytes
+    del stream
+    compress(CompressJob(data=data, tables=tt))  # the table is verified once, untraced
+    tracemalloc.start()
+    try:
+        artifact = compress(CompressJob(data=data, tables=tt)).artifact
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(artifact), (peak, len(artifact))

@@ -589,7 +589,8 @@ def test_layout_matches_reference_on_drawn_runs(case):
 
 
 def plain_render(block_units):
-    """The occupant stream joined one block at a time: the oracle for _render."""
+    """The occupant stream joined one block at a time: the oracle for
+    _render, given the same bytes, one unit count per block."""
     pieces = [OCCUPANT_ALPHABET[:k] + bytes((SEPARATOR_CODES[i % len(SEPARATOR_CODES)],))
               for i, k in enumerate(block_units)]
     occupant = b"".join(pieces)
@@ -600,11 +601,16 @@ def plain_render(block_units):
                                   2 * gridfile._CHUNK, 3 * gridfile._CHUNK + 5))
 def test_render_of_one_unit_blocks_matches_plain_join(ones):
     # runs of one-unit blocks at and off chunk alignment, ending in a
-    # partial or a full block
+    # partial or a full block; as bytes, the type the writer passes, so a
+    # whole chunk of them is the constant that _render emits at once
     for before in ([], [2], [95] * 30):
         for after in ([], [95], [3]):
-            block_units = before + [1] * ones + after
+            block_units = bytes(before + [1] * ones + after)
             assert gridfile._render(block_units) == plain_render(block_units)
+    # the writer's lengths for a run of one repeated row hold the constant
+    lengths = gridfile._block_lengths(bytes(2 * ones), MODE_1TT)
+    assert lengths == b"\x01" * ones
+    assert (lengths[: gridfile._CHUNK] == gridfile._ONE_UNIT_BLOCKS) == (ones >= gridfile._CHUNK)
 
 
 def test_full_final_block_without_its_separator_rejected():
@@ -909,6 +915,15 @@ def rendered_mutations(draw):
 @example(OCCUPANT_ALPHABET + b"\x80")  # no char, where a full block's separator belongs
 def test_canonical_check_agrees_on_mutated_renderings(occupant):
     assert_same_verdict(occupant)
+
+
+def test_canonical_check_agrees_past_255_chars_in_a_block():
+    # a block's size no longer fits the byte that holds it: first, after
+    # the first block that is no alphabet prefix, and after valid blocks
+    for occupant in (OCCUPANT_ALPHABET * 3, b"ax\x01" + b"a" * 300,
+                     gridfile._render([2, 95]) + OCCUPANT_ALPHABET * 3 + b"\x03a",
+                     gridfile._render([1] * 40) + b"\x09" + b"b" * 256):
+        assert_same_verdict(occupant)
 
 
 def first_difference_walk(got, want):
