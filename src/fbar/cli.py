@@ -3,7 +3,7 @@
 Each command's arguments are declared once, in ``_COMMANDS``.  A plain
 command line is read straight from that table.  argparse is imported, and
 builds its parser from the same table, only for help and for lines that
-need its rules or its usage errors, so its help text and messages stay.
+need its rules or its usage errors; its stock formatter lays out the help.
 
 A command that cannot finish raises ``_Failure``, and ``main`` prints its
 one ``error:`` line on stderr.  Exit codes:
@@ -250,33 +250,6 @@ def cmd_entropy(args):
     return status
 
 
-def _terminal_width():
-    """Terminal columns, found as shutil.get_terminal_size finds them."""
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns <= 0:
-        try:
-            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-        except (AttributeError, ValueError, OSError):
-            columns = 0
-    return columns or 80
-
-
-def _HelpFormatter(prog, width=None, **kwargs):
-    """argparse's help formatter, given its width.
-
-    Left to find the width itself, argparse imports shutil (and with it
-    zlib, bz2, lzma and fnmatch) in every process that builds a parser.
-    """
-    import argparse
-
-    if width is None:
-        width = _terminal_width() - 2  # argparse's own margin
-    return argparse.HelpFormatter(prog, width=width, **kwargs)
-
-
 _LAYOUT = ("--layout", {
     "choices": addressing.LAYOUTS, "default": "interleaved",
     "help": "address coordinate layout (must match end to end)",
@@ -329,11 +302,10 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="fbar",
         description="Fixed-codebook bit-pair codec with honest accounting.",
-        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, func, arguments) in _COMMANDS.items():
-        p = sub.add_parser(command, help=summary, formatter_class=_HelpFormatter)
+        p = sub.add_parser(command, help=summary)
         for name, kwargs in arguments:
             p.add_argument(name, **kwargs)
         p.set_defaults(func=func)

@@ -30,7 +30,7 @@ def test_cli_import_graph_stays_light():
 
 def test_cli_run_leaves_shutil_out(tmp_path):
     # argparse's help formatter imports shutil (with zlib, bz2, lzma and
-    # fnmatch) unless it is given a width.
+    # fnmatch); a plain command line builds no parser, so none of it loads.
     missing = str(tmp_path / "missing.fbar")
     code = (
         f"import sys; sys.path.insert(0, {SRC!r}); import fbar.cli; "
@@ -61,11 +61,11 @@ def test_plain_cli_runs_leave_argparse_out(tmp_path):
     assert {"argparse", "gettext"} & set(out.split()) == set()
 
 
-def test_cli_help_builds_argparse_without_shutil():
+def test_cli_help_builds_argparse():
     code = (
         f"import sys; sys.path.insert(0, {SRC!r}); import fbar.cli; "
         "assert fbar.cli.main(['decompress', '--help']) == fbar.cli.EXIT_OK; "
-        "assert 'argparse' in sys.modules and 'shutil' not in sys.modules"
+        "assert 'argparse' in sys.modules"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
