@@ -23,11 +23,11 @@ interleaved row with its two middle nibbles swapped, a swap that is its
 own inverse.  A "row stream" holds each row as 2 big-endian bytes, so
 the interleaved row stream of an even-length input is the input
 translated through F, and decoding translates it back through F's
-inverse; the grouped layout adds the nibble swap on both sides.  F and
-its inverse are derived here once, and decoding always uses them: a
-translation table is only verified against ``pair_table``, never read
-for its inverse.  The scalar functions below are the reference the
-kernel is tested against.
+inverse; the grouped layout adds the nibble swap on both sides.  F is
+a literal here, its inverse is derived from it once, and decoding
+always uses them: a translation table is only verified against
+``pair_table``, never read for its inverse.  The scalar functions below
+are the reference the kernel is tested against.
 """
 
 import sys
@@ -46,15 +46,31 @@ ZN_INDEX = {combo: pos for pos, combo in enumerate(pairops.ZN_COMBOS, start=1)}
 FlagAddress = namedtuple("FlagAddress", "i j k l")
 
 
-# Per-byte coordinate tables, built once from the canonical factorization.
-_BYTE_COORDS = []
-_BYTE_FROM_COORDS = {}
-for _b in range(256):
-    _s1, _s2 = pairops.canonical_factor(_b)
-    _ij = (IP_INDEX[_s1], ZN_INDEX[_s2])
-    _BYTE_COORDS.append(_ij)
-    _BYTE_FROM_COORDS[_ij] = _b
-del _b, _s1, _s2, _ij
+# The byte kernel.  F maps a byte to the interleaved row byte of its
+# coordinates, (ip - 1) << 4 | (zn - 1); a test derives each byte of this
+# literal again from pairops.canonical_factor, which imports never run.
+_F = bytes.fromhex(
+    "ffeceffcde777ed7df7c7fdcfee7eef7"
+    "cd888dc8aa444aa4ad484da8ca848ac4"
+    "cf8c8fccae474ea7af4c4facce878ec7"
+    "fde8edf8da747ad4dd787dd8fae4eaf4"
+    "bb666bb6993339939b363b96b96369b3"
+    "55222552110001101502051251202150"
+    "5b262b56190309131b060b1659232953"
+    "b56265b29130319095323592b16061b0"
+    "bf6c6fbc9e373e979f3c3f9cbe676eb7"
+    "5d282d581a040a141d080d185a242a54"
+    "5f2c2f5c1e070e171f0c0f1c5e272e57"
+    "bd686db89a343a949d383d98ba646ab4"
+    "fbe6ebf6d97379d3db767bd6f9e3e9f3"
+    "c58285c2a14041a0a54245a2c18081c0"
+    "cb868bc6a94349a3ab464ba6c98389c3"
+    "f5e2e5f2d17071d0d57275d2f1e0e1f0"
+)
+_F_INV = bytes.maketrans(_F, bytes(range(256)))  # maps each F[b] back to b
+# Per-byte coordinates (ip, zn), read from F's nibbles.
+_BYTE_COORDS = [((f >> 4) + 1, (f & 15) + 1) for f in _F]
+_BYTE_FROM_COORDS = {ij: b for b, ij in enumerate(_BYTE_COORDS)}
 
 
 def _check_layout(layout):
@@ -101,12 +117,6 @@ def pair_of_row(row, layout="interleaved"):
 
 def row_of_pair(x, x2, layout="interleaved"):
     return row_of_address(address_of_pair(x, x2, layout))
-
-
-# The byte kernel.  F maps a byte to the interleaved row byte of its
-# coordinates.
-_F = bytes((ip - 1) << 4 | (zn - 1) for ip, zn in _BYTE_COORDS)
-_F_INV = bytes(_F.index(a) for a in range(256))
 
 
 def _all_rows():

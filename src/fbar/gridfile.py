@@ -96,16 +96,16 @@ HONEST_OVERHEAD = sum(size for _, size in _HONEST_FIELDS)
 
 _SEPARATORS = [bytes((code,)) for code in SEPARATOR_CODES]
 # _CHARS[n]: the chars of an n-unit block; _PIECES[k][n]: those chars,
-# then the cycle's k-th separator.
+# then the cycle's k-th separator, built by the first _render.
 _CHARS = [OCCUPANT_ALPHABET[:n] for n in range(BLOCK_UNITS + 1)]
-_PIECES = [[chars + sep for chars in _CHARS] for sep in _SEPARATORS]
+_PIECES = None
 # Blocks are joined a slice of whole separator cycles at a time: a join
 # allocates an 80-byte record per piece, which for a stream of one-unit
 # blocks would be 40 times the stream itself.  Every slice so starts the
 # cycle afresh, and a slice of one-unit blocks is always the same bytes.
-_CHUNK = len(_PIECES) * 128
+_CHUNK = len(_SEPARATORS) * 128
 _ONE_UNIT_BLOCKS = b"\x01" * _CHUNK
-_ONE_UNIT_CHUNK = b"".join(pieces[1] for pieces in _PIECES) * (_CHUNK // len(_PIECES))
+_ONE_UNIT_CHUNK = b"".join(_CHARS[1] + sep for sep in _SEPARATORS) * 128
 # That chunk where the cycle starts afresh: right after its last separator.
 _AFTER_CYCLE = _SEPARATORS[-1] + _ONE_UNIT_CHUNK
 # _block_lengths reads the rows this many bytes at a time: 4,096 1tt units
@@ -120,13 +120,15 @@ _MARK_SEPARATORS = bytes(32) + _NOT_SEPARATORS
 _CYCLE = bytes(SEPARATOR_CODES)
 # _CLAMPED[n]: a block of n bytes held to 1..95 units, for the rendering
 # that names a defect: an empty or over-long block has no rendering.
-_CLAMPED = bytes(min(n, BLOCK_UNITS) or 1 for n in range(256))
+_CLAMPED = b"\x01" + bytes(range(1, BLOCK_UNITS + 1)) + bytes((BLOCK_UNITS,)) * (255 - BLOCK_UNITS)
 # _ORDINALS[b]: a byte's ordinal, 0 for a separator and n for the n-th
 # char; any other byte reads _OTHER, which is no ordinal's successor, so
 # only a separator may follow it.  Every ordinal stays below 0x7F, so the
 # per-byte sums of the span check below never carry into the next byte.
+# The chars are exactly the bytes 0x20-0x7E.
 _OTHER = 0x70
-_ORDINALS = bytes(0 if b < 32 else OCCUPANT_ALPHABET.find(b) + 1 or _OTHER for b in range(256))
+_ORDINALS = (bytes(32) + bytes.maketrans(OCCUPANT_ALPHABET, bytes(range(1, 96)))[32:127]
+             + bytes((_OTHER,)) * 129)
 # _ONES has a 1 in each byte of a span, _LOW7 a 0x7F and _HIGH a 0x80.
 _ONES = int.from_bytes(b"\x01" * _SPAN, "little")
 _LOW7, _HIGH = 0x7F * _ONES, _ONES << 7
@@ -274,6 +276,9 @@ def _render(block_units):
     of _CHUNK one-unit blocks is found with one compare against
     _ONE_UNIT_BLOCKS and emitted as _ONE_UNIT_CHUNK.
     """
+    global _PIECES
+    if _PIECES is None:
+        _PIECES = [[chars + sep for chars in _CHARS] for sep in _SEPARATORS]
     chunks = (block_units[at : at + _CHUNK] for at in range(0, len(block_units), _CHUNK))
     occupant = b"".join([
         _ONE_UNIT_CHUNK if chunk == _ONE_UNIT_BLOCKS

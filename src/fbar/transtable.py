@@ -129,22 +129,11 @@ def verify_tt(tt):
     return report
 
 
-# Text form of one original byte: printable ASCII stands for itself, any
-# other byte (and the escape mark) is written as %XX.
-_ESCAPED = tuple(
-    chr(b) if 32 <= b <= 126 and b != _ESCAPE_MARK else f"%{b:02X}" for b in range(256)
-)
 _NIBBLES = tuple(str(c) for c in range(1, 17))
 _ALPHABET_TEXT = OCCUPANT_ALPHABET.decode("ascii")
 # Lines joined per write: enough to amortize the call, few enough that
 # the 8 MiB text is never held whole.
 _TEXT_CHUNK_ROWS = 1024
-
-
-def _text_line(number, address, x, x2):
-    """The text form's line for row ``number - 1`` holding the pair (x, x2)."""
-    body = f"{number} {address} {_ALPHABET_TEXT} {_ESCAPED[x]}{_ESCAPED[x2]}"
-    return body.ljust(TEXT_ROW_BYTES - 1) + "\n"
 
 
 def serialize_text(tt, sink):
@@ -154,9 +143,19 @@ def serialize_text(tt, sink):
     in row order (l fastest), and from a per-byte escape table, and are
     written 1,024 lines per ``sink.write``.
     """
+    # Text form of one original byte: printable ASCII stands for itself,
+    # any other byte (and the escape mark) is written as %XX.
+    escaped = tuple(
+        chr(b) if 32 <= b <= 126 and b != _ESCAPE_MARK else f"%{b:02X}" for b in range(256)
+    )
+
+    def text_line(number, address, x, x2):  # row number - 1, holding the pair (x, x2)
+        body = f"{number} {address} {_ALPHABET_TEXT} {escaped[x]}{escaped[x2]}"
+        return body.ljust(TEXT_ROW_BYTES - 1) + "\n"
+
     addresses = map("x".join, itertools.product(_NIBBLES, repeat=4))
     originals = tt.originals
-    lines = map(_text_line, itertools.count(1), addresses, originals[0::2], originals[1::2])
+    lines = map(text_line, itertools.count(1), addresses, originals[0::2], originals[1::2])
     written = 0
     try:
         while chunk := "".join(itertools.islice(lines, _TEXT_CHUNK_ROWS)):

@@ -116,3 +116,16 @@ def test_flat_tables_agree_with_functions():
             row = rows[key]
             assert row == row_of_pair(x, x2, layout)
             assert pairs[2 * row : 2 * row + 2] == bytes((x, x2))
+
+
+def test_f_literal_matches_the_canonical_factorization():
+    # F is a literal in the module, so the kernel-against-scalar tests
+    # would compare it with itself; derive every byte again here.
+    for b in range(256):
+        s1, s2 = pairops.canonical_factor(b)
+        ip, zn = combo_index(s1), combo_index(s2)
+        assert addressing._F[b] == (ip - 1) << 4 | (zn - 1)
+        assert addressing._F_INV[addressing._F[b]] == b
+        assert addressing._BYTE_COORDS[b] == (ip, zn)
+        assert addressing._BYTE_FROM_COORDS[(ip, zn)] == b
+    assert len(addressing._F) == len(addressing._F_INV) == len(addressing._BYTE_FROM_COORDS) == 256

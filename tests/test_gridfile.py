@@ -613,6 +613,23 @@ def test_render_of_one_unit_blocks_matches_plain_join(ones):
     assert (lengths[: gridfile._CHUNK] == gridfile._ONE_UNIT_BLOCKS) == (ones >= gridfile._CHUNK)
 
 
+def test_layout_tables_equal_their_comprehensions():
+    # the module builds these by slicing, maketrans and joins, and the
+    # render pieces on the first _render; each must equal the plain
+    # per-byte or per-piece comprehension
+    assert gridfile._ORDINALS == bytes(
+        0 if b < 32 else OCCUPANT_ALPHABET.find(b) + 1 or gridfile._OTHER for b in range(256)
+    )
+    assert gridfile._CLAMPED == bytes(min(n, BLOCK_UNITS) or 1 for n in range(256))
+    separators = [bytes((code,)) for code in SEPARATOR_CODES]
+    pieces = [[OCCUPANT_ALPHABET[:n] + sep for n in range(BLOCK_UNITS + 1)] for sep in separators]
+    chunk = b"".join(row[1] for row in pieces) * (gridfile._CHUNK // len(pieces))
+    assert gridfile._ONE_UNIT_CHUNK == chunk
+    assert gridfile._AFTER_CYCLE == separators[-1] + chunk
+    gridfile._render(b"\x01")
+    assert gridfile._PIECES == pieces
+
+
 def test_full_final_block_without_its_separator_rejected():
     data, _ = grid_bytes(list(range(95)))
     stream = occupant_stream(data)

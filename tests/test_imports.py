@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 
+from fbar import codec, transtable
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # dataclasses pulls in inspect and ast; fractions pulls in decimal.
@@ -71,3 +73,35 @@ def test_cli_help_builds_argparse():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.startswith("usage: fbar decompress")
+
+
+def test_decompress_and_honest_compress_leave_render_pieces_unbuilt(tmp_path):
+    # The paper writer's render pieces are built by its first render, not
+    # at import: a plain decompress, of a paper artifact too, and an
+    # honest compress never render, so they must leave them unbuilt.
+    tt = transtable.generate_tt()
+    table = tmp_path / "tt1.bin"
+    with open(table, "wb") as sink:
+        transtable.serialize_binary(tt, sink)
+    small = tmp_path / "small.bin"
+    small.write_bytes(b"resolved! " * 40 + b"?")
+    paper = tmp_path / "small.fbar"
+    paper.write_bytes(codec.compress(codec.CompressJob(small.read_bytes(), tt)).artifact)
+    tt_args = ["--tt", str(table)]
+    plain = [
+        ["decompress", str(paper), *tt_args, "--out", str(tmp_path / "out.bin")],
+        ["compress", str(small), *tt_args, "--format", "honest", "--out", str(tmp_path / "h.fbar")],
+    ]
+    render = ["compress", str(small), *tt_args, "--out", str(tmp_path / "paper.fbar")]
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); import fbar.cli; "
+        f"assert [fbar.cli.main(argv) for argv in {plain!r}] == [fbar.cli.EXIT_OK] * 2; "
+        "assert fbar.gridfile._PIECES is None; "
+        # a paper compress renders, and builds them
+        f"assert fbar.cli.main({render!r}) == fbar.cli.EXIT_OK; "
+        "assert fbar.gridfile._PIECES is not None"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out.bin").read_bytes() == small.read_bytes()
+    assert (tmp_path / "paper.fbar").read_bytes() == paper.read_bytes()
