@@ -24,31 +24,25 @@ own inverse.  A "row stream" holds each row as 2 big-endian bytes, so
 the interleaved row stream of an even-length input is the input
 translated through F, and decoding translates it back through F's
 inverse; the grouped layout adds the nibble swap on both sides.  F is
-a literal here, its inverse is derived from it once, and decoding
-always uses them: a translation table is only verified against
-``pair_table``, never read for its inverse.  The scalar functions below
-are the reference the kernel is tested against.
+a literal here and, with its inverse derived from it once, the only
+copy of the byte coordinates: decoding translates through them, never
+through a translation table, and the scalar functions below, the
+reference the kernel is tested against, read F's nibbles and inverse.
 """
 
 import sys
 from array import array
 from collections import namedtuple
 
-from . import pairops
-
 ROWS = 65536
 LAYOUTS = ("interleaved", "grouped")
-
-IP_INDEX = {combo: pos for pos, combo in enumerate(pairops.IP_COMBOS, start=1)}
-ZN_INDEX = {combo: pos for pos, combo in enumerate(pairops.ZN_COMBOS, start=1)}
-
 
 FlagAddress = namedtuple("FlagAddress", "i j k l")
 
 
 # The byte kernel.  F maps a byte to the interleaved row byte of its
 # coordinates, (ip - 1) << 4 | (zn - 1); a test derives each byte of this
-# literal again from pairops.canonical_factor, which imports never run.
+# literal again from pairops.canonical_factor, which no fbar process imports.
 _F = bytes.fromhex(
     "ffeceffcde777ed7df7c7fdcfee7eef7"
     "cd888dc8aa444aa4ad484da8ca848ac4"
@@ -68,9 +62,6 @@ _F = bytes.fromhex(
     "f5e2e5f2d17071d0d57275d2f1e0e1f0"
 )
 _F_INV = bytes.maketrans(_F, bytes(range(256)))  # maps each F[b] back to b
-# Per-byte coordinates (ip, zn), read from F's nibbles.
-_BYTE_COORDS = [((f >> 4) + 1, (f & 15) + 1) for f in _F]
-_BYTE_FROM_COORDS = {ij: b for b, ij in enumerate(_BYTE_COORDS)}
 
 
 def _check_layout(layout):
@@ -79,20 +70,21 @@ def _check_layout(layout):
 
 
 def address_of_pair(x, x2, layout="interleaved"):
-    """4D flag address of a 2-byte pair."""
+    """4D flag address of a 2-byte pair: the nibbles of F[x] and F[x2], 1-based."""
     _check_layout(layout)
-    a, b = _BYTE_COORDS[x], _BYTE_COORDS[x2]
-    if layout == "interleaved":
-        return FlagAddress(a[0], a[1], b[0], b[1])
-    return FlagAddress(a[0], b[0], a[1], b[1])
+    if not (0 <= x <= 255 and 0 <= x2 <= 255):
+        raise ValueError(f"not a byte pair: {(x, x2)!r}")
+    (i, j), (k, l) = divmod(_F[x], 16), divmod(_F[x2], 16)
+    if layout == "grouped":
+        j, k = k, j
+    return FlagAddress(i + 1, j + 1, k + 1, l + 1)
 
 
 def row_of_address(address):
     """Zero-based linear row of an address, l fastest-varying."""
     i, j, k, l = address
-    for coord in (i, j, k, l):
-        if not 1 <= coord <= 16:
-            raise ValueError(f"coordinate out of range 1..16: {address}")
+    if not all(1 <= coord <= 16 for coord in (i, j, k, l)):
+        raise ValueError(f"coordinate out of range 1..16: {address}")
     return (i - 1) * 4096 + (j - 1) * 256 + (k - 1) * 16 + (l - 1)
 
 
@@ -110,9 +102,9 @@ def pair_of_row(row, layout="interleaved"):
     """Recover the 2-byte pair stored at a row; exact inverse of row_of_pair."""
     _check_layout(layout)
     i, j, k, l = address_of_row(row)
-    if layout == "interleaved":
-        return _BYTE_FROM_COORDS[(i, j)], _BYTE_FROM_COORDS[(k, l)]
-    return _BYTE_FROM_COORDS[(i, k)], _BYTE_FROM_COORDS[(j, l)]
+    if layout == "grouped":
+        j, k = k, j
+    return _F_INV[(i - 1) << 4 | (j - 1)], _F_INV[(k - 1) << 4 | (l - 1)]
 
 
 def row_of_pair(x, x2, layout="interleaved"):
@@ -139,10 +131,10 @@ def _regroup(stream, layout):
     exchanges them.
     """
     _check_layout(layout)
-    if layout == "interleaved":
-        return stream
     if len(stream) % 2:
         raise ValueError(f"row stream of odd length {len(stream)}")
+    if layout == "interleaved":
+        return stream
     words = int.from_bytes(stream, "big")
     t = (words >> 4 ^ words) & int.from_bytes(b"\x00\xf0" * (len(stream) // 2), "big")
     return (words ^ t ^ t << 4).to_bytes(len(stream), "big")

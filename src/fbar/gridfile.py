@@ -223,15 +223,15 @@ def _block_lengths(stream, mode):
     read _SPAN bytes at a time, and a span that is one unit repeated
     is laid out without the loop past its first unit: each later copy
     is a one-unit block, a 0x01 byte, and the last of them is the
-    current block.
+    current block.  The loop reads whole units only; a 4tt stream's
+    partial last unit, of 1 to 3 rows, is checked after it, once.
     """
     per_unit = _MODE_BYTES[mode]
-    partial = len(stream) // 2 % per_unit
-    if partial:  # fill a partial last unit up with its first row, which cannot collide
-        stream = bytes(stream) + bytes(stream[-2 * partial :][:2]) * (per_unit - partial)
-    octets = memoryview(stream).cast("B")
-    words = octets.cast("H")  # a collision needs no byte order
     unit = 2 * per_unit
+    octets = memoryview(stream).cast("B")
+    partial = octets[len(octets) - len(octets) % unit :]
+    octets = octets[: len(octets) - len(partial)]
+    words = octets.cast("H")  # a collision needs no byte order
     last = [-1] * 65536
     lengths = bytearray()
     block = n = 0  # the current block's number and its units so far
@@ -262,6 +262,11 @@ def _block_lengths(stream, mode):
             block, n = block + copies - 1, 1
             for w in part:
                 last[w] = block
+    if partial:  # no generator here: it would make last and block cells of the loop above
+        if n == BLOCK_UNITS or block in map(last.__getitem__, partial.cast("H")):
+            lengths.append(n)
+            n = 0
+        n += 1
     if n:
         lengths.append(n)
     return bytes(lengths)

@@ -62,6 +62,13 @@ def test_row_range_checks():
         address_of_row(65536)
     with pytest.raises(ValueError):
         address_of_row(-1)
+    # a byte out of 0..255 is no pair, not the pair 256 places away
+    for layout in addressing.LAYOUTS:
+        for x, x2 in ((-1, 0), (0, -1), (256, 0), (0, 256)):
+            with pytest.raises(ValueError, match="not a byte pair"):
+                address_of_pair(x, x2, layout)
+            with pytest.raises(ValueError, match="not a byte pair"):
+                row_of_pair(x, x2, layout)
 
 
 def test_pair_of_row_anchors():
@@ -126,6 +133,7 @@ def test_f_literal_matches_the_canonical_factorization():
         ip, zn = combo_index(s1), combo_index(s2)
         assert addressing._F[b] == (ip - 1) << 4 | (zn - 1)
         assert addressing._F_INV[addressing._F[b]] == b
-        assert addressing._BYTE_COORDS[b] == (ip, zn)
-        assert addressing._BYTE_FROM_COORDS[(ip, zn)] == b
-    assert len(addressing._F) == len(addressing._F_INV) == len(addressing._BYTE_FROM_COORDS) == 256
+        # the scalar functions read F's nibbles and its inverse
+        assert address_of_pair(b, b) == (ip, zn, ip, zn)
+        assert pair_of_row(row_of_address((ip, zn, ip, zn))) == (b, b)
+    assert len(addressing._F) == len(addressing._F_INV) == 256

@@ -14,7 +14,9 @@ from fbar import codec, transtable
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # dataclasses pulls in inspect and ast; fractions pulls in decimal.
-NOT_IMPORTED = {"dataclasses", "typing", "inspect", "ast", "fractions", "decimal"}
+# fbar.pairops is the operator algebra: the tests' oracle for F, which no
+# command runs.
+NOT_IMPORTED = {"dataclasses", "typing", "inspect", "ast", "fractions", "decimal", "fbar.pairops"}
 
 
 def test_cli_import_graph_stays_light():

@@ -59,9 +59,10 @@ def test_kernel_accepts_any_buffer(layout):
         assert decode_stream(buf, layout) == data[:-1]
 
 
-def test_grouped_rejects_odd_row_stream():
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_rejects_odd_row_stream(layout):
     with pytest.raises(ValueError):
-        decode_stream(b"\x00\x01\x02", "grouped")
+        decode_stream(b"\x00\x01\x02", layout)
 
 
 def test_row_stream_is_big_endian():
