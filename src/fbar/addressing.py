@@ -158,6 +158,8 @@ def decode_stream(stream, layout="interleaved", tail=None):
     The tail joins the regrouped rows as its image under F, so one join
     and one translate through F's inverse build the whole output.
     """
+    if tail is not None and not 0 <= tail <= 255:
+        raise ValueError(f"not a tail byte: {tail!r}")
     tail = b"" if tail is None else _F[tail : tail + 1]
     return b"".join((_regroup(stream, layout), tail)).translate(_F_INV)
 

@@ -41,13 +41,14 @@ again or making an object per block.  First it sets aside the copies
 of that constant that cannot change the verdict; which ones, and why,
 is stated once, at _without_one_unit_chunks.  What is left is
 translated once to its ordinals (0 for a separator, n for the n-th
-char), where each char must be the ordinal after the byte before it,
-tested a span of bytes at a time as one integer, and its separators
-alone must follow their cycle.  Otherwise it names the first byte
-where the stream departs from the rendering of its own blocks, each
-held to 1..95 units, which it renders once, whole.  It
-does not derive the lengths from the rows: an early restart without a
-collision, or a repeated row inside a 1tt block, still parses.
+char), where each char must be the ordinal after the byte before it
+and each separator must follow a char, tested a span of bytes at a
+time as one integer, and its separators alone must follow their cycle.
+Otherwise it names the first byte where the stream departs from the
+rendering of its own blocks, each held to 1..95 units, which it renders
+once, whole.  It does not derive the lengths from the rows: an early
+restart without a collision, or a repeated row inside a 1tt block,
+still parses.
 """
 
 from collections import namedtuple
@@ -123,15 +124,19 @@ _CYCLE = bytes(SEPARATOR_CODES)
 _CLAMPED = b"\x01" + bytes(range(1, BLOCK_UNITS + 1)) + bytes((BLOCK_UNITS,)) * (255 - BLOCK_UNITS)
 # _ORDINALS[b]: a byte's ordinal, 0 for a separator and n for the n-th
 # char; any other byte reads _OTHER, which is no ordinal's successor, so
-# only a separator may follow it.  Every ordinal stays below 0x7F, so the
-# per-byte sums of the span check below never carry into the next byte.
+# only a separator may follow it.  Every ordinal stays below 0x7F, so
+# each byte of s + 1, of x ^ (s + 1) and of s | x in the span check
+# below stays below 0x80, and adding 0x7F to it never carries into the
+# next byte.
 # The chars are exactly the bytes 0x20-0x7E.
 _OTHER = 0x70
 _ORDINALS = (bytes(32) + bytes.maketrans(OCCUPANT_ALPHABET, bytes(range(1, 96)))[32:127]
              + bytes((_OTHER,)) * 129)
-# _ONES has a 1 in each byte of a span, _LOW7 a 0x7F and _HIGH a 0x80.
+# _ONES has a 1 in each byte of a span, _LOW7 a 0x7F and _HIGH a 0x80;
+# _PAIR_HIGH has a 0x80 in each but the span's last byte.
 _ONES = int.from_bytes(b"\x01" * _SPAN, "little")
 _LOW7, _HIGH = 0x7F * _ONES, _ONES << 7
+_PAIR_HIGH = _HIGH >> 8
 
 
 class GridFormatError(Exception):
@@ -402,18 +407,24 @@ class _Reader:
 
 def _ordinals_ascend(ordinals):
     """Whether each byte of an ordinal image after the first is 0 (a
-    separator) or the byte before it plus one.
+    separator) or the byte before it plus one, and no 0 follows a 0.
 
     Checked _SPAN bytes at a time, consecutive spans sharing one byte:
     with s the span's bytes as a little-endian integer and x = s >> 8
     its bytes from the second on, byte by byte, (x ^ (s + 1)) + 0x7F sets
-    the high bit where a byte is not its predecessor plus one, and
-    x + 0x7F where it is not 0.  Past the span's last byte x is 0.
+    the high bit where a byte is not its predecessor plus one, x + 0x7F
+    where it is not 0, and (s | x) + 0x7F where it or its predecessor is
+    not 0.  Only the high bits of the span's pairs are read, those of its
+    first len - 1 bytes (the mask m): past its last byte x is 0.
     """
+    m = _PAIR_HIGH
     for at in range(0, len(ordinals) - 1, _SPAN - 1):
-        s = int.from_bytes(ordinals[at : at + _SPAN], "little")
+        span = ordinals[at : at + _SPAN]
+        if len(span) < _SPAN:
+            m = _HIGH >> 8 * (_SPAN + 1 - len(span))
+        s = int.from_bytes(span, "little")
         x = s >> 8
-        if ((x ^ (s + _ONES)) + _LOW7) & (x + _LOW7) & _HIGH:
+        if ((((x ^ (s + _ONES)) + _LOW7) & (x + _LOW7)) | (((s | x) + _LOW7) ^ m)) & m:
             return False
     return True
 
@@ -456,14 +467,13 @@ def _occupant_blocks(occupant, base_offset):
     _CHUNK one-unit blocks each, and the checks below run on what is left.
 
     Every block is a prefix of the alphabet exactly when the stream
-    starts with the first char, in its ordinal image (_ORDINALS) every
-    byte after the first is a separator or the ordinal after the one
-    before it, and no two separators touch: each block then starts with
-    the first char, which no other position holds, so the first char
-    occurs once per block.  The ordinals are checked a span at a time
-    (_ordinals_ascend), no block made.  Besides, the separators must
-    follow the cycle, and the stream ends with one exactly when its last
-    block is full.
+    starts with the first char and, in its ordinal image (_ORDINALS),
+    every byte after the first is the ordinal after the one before it or
+    a separator that follows a char: no block is then empty, each starts
+    with the first char, and each char after it is the next one.  The
+    ordinals are checked a span at a time (_ordinals_ascend), no block
+    made.  Besides, the separators must follow the cycle, and the stream
+    ends with one exactly when its last block is full.
 
     Otherwise raises the error for the first byte where the whole stream
     departs from the rendering of its own blocks.  Only then is it split
@@ -483,7 +493,6 @@ def _occupant_blocks(occupant, base_offset):
     closed = ordinals[-1] == 0
     block_count = len(separators) + (not closed)
     if (ordinals[0] == 1 and (ordinals[-1 - closed] == BLOCK_UNITS) == closed
-            and ordinals.count(1) == block_count
             and separators == _CYCLE * cycles + _CYCLE[:rest]
             and _ordinals_ascend(ordinals)):
         return (block_count + chunks * _CHUNK, len(left) - len(separators) + chunks * _CHUNK,

@@ -77,6 +77,15 @@ def flip_counts(fmt, mode, layout):
     return counts
 
 
+def test_no_single_bit_flip_decodes_to_the_same_output():
+    """Every flip is caught or changes the output.  A defect in the paper
+    occupant stream never changes the decoded bytes, so a parser that
+    wrongly accepted one would show here, and nowhere in the wrong-output
+    counts."""
+    same = {case: flip_counts(*case)["same output"] for case in CASES}
+    assert same == dict.fromkeys(CASES, 0)
+
+
 def test_v1_known_silent_failures_under_single_bit_flips():
     """Known silent failures: the wrong-output flips of v1 artifacts,
     recorded per case, not passed (ROADMAP gaps 2-3)."""

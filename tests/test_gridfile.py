@@ -849,6 +849,37 @@ def test_canonical_check_agrees_across_span_boundaries():
         assert_same_verdict(occupant)
 
 
+def ordinal_image(length, zeros):
+    """An ordinal image that starts at 1, holds 0 at each offset in
+    ``zeros``, and elsewhere the ordinal after the byte before it, or 0
+    after ordinal 90 when no 0 of ``zeros`` follows."""
+    image = bytearray(b"\x01")
+    for i in range(1, length):
+        image.append(0 if i in zeros or image[-1] >= 90 and i + 1 not in zeros
+                     else image[-1] + 1)
+    return bytes(image)
+
+
+def ordinals_ascend_walk(image):
+    """_ordinals_ascend by a walk over the pairs in Python: the reference."""
+    return all(b == a + 1 or b == 0 != a for a, b in zip(image, image[1:]))
+
+
+@pytest.mark.parametrize("zeros, ascend", [
+    ({SPAN - 2, SPAN - 1}, False),  # both in the first span
+    ({SPAN - 1, SPAN}, False),  # the byte the spans share, then the next
+    ({2 * SPAN + 98, 2 * SPAN + 99}, False),  # the last two bytes, in a short last span
+    ({SPAN - 2}, True),
+    ({SPAN - 1}, True),  # the first span's top byte is 0, the next span's second 1
+    ({2 * SPAN + 98}, True),
+])
+def test_span_check_finds_touching_separators_where_spans_meet(zeros, ascend):
+    image = ordinal_image(2 * SPAN + 100, zeros)
+    assert all(image[i] == 0 for i in zeros)
+    assert ordinals_ascend_walk(image) is ascend
+    assert gridfile._ordinals_ascend(image) is ascend
+
+
 CHUNK, ONE_UNIT_CHUNK = gridfile._CHUNK, gridfile._ONE_UNIT_CHUNK
 
 

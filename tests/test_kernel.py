@@ -65,6 +65,13 @@ def test_rejects_odd_row_stream(layout):
         decode_stream(b"\x00\x01\x02", layout)
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("tail", [-1, 256])
+def test_rejects_tail_outside_a_byte(layout, tail):
+    with pytest.raises(ValueError, match="not a tail byte"):
+        decode_stream(b"", layout, tail=tail)
+
+
 def test_row_stream_is_big_endian():
     for layout in LAYOUTS:
         row = row_of_pair(0x40, 0x24, layout)
