@@ -29,18 +29,12 @@ class ModeMismatchError(Exception):
 CompressJob = namedtuple(
     "CompressJob", "data tables mode fmt", defaults=(MODE_1TT, FORMAT_PAPER)
 )
-# mode None: trust the header.
+# mode None: trust the header; ValueError unless None, 1tt or 4tt.
 DecompressJob = namedtuple("DecompressJob", "artifact tables mode", defaults=(None,))
-# summary: a gridfile.GridArtifact, None for the honest format;
+# artifact: the writer's bytes, not a copy; summary: the
+# gridfile.GridArtifact that holds them, None for the honest format;
 # report: a metrics.MetricsReport.
 CompressResult = namedtuple("CompressResult", "artifact summary report")
-
-
-class _Kept:
-    """A sink that keeps the one object written to it, without copying it."""
-
-    def write(self, data):
-        self.data = data
 
 
 def _as_bytes(data):
@@ -68,18 +62,17 @@ def compress(job: CompressJob) -> CompressResult:
     start = time.perf_counter()
     data = _as_bytes(job.data)
     stream, tail = encode_rows(data, layout)
-    sink = _Kept()
     if job.fmt == FORMAT_PAPER:
-        summary = gridfile.write_grid(stream, job.mode, sink, tail)
+        summary = gridfile.write_grid(stream, job.mode, tail)
+        artifact = summary.artifact
         paper_accounted = summary.occupant_len
         honest_size = summary.honest_payload_size
     else:
         summary = None
-        total = gridfile.write_honest(stream, sink, tail)
+        artifact = gridfile.write_honest(stream, tail)
         paper_accounted = None
-        honest_size = total - gridfile.HONEST_OVERHEAD
+        honest_size = len(artifact) - gridfile.HONEST_OVERHEAD
 
-    artifact = sink.data
     report = metrics.build_report(
         data,
         job.mode,
@@ -97,6 +90,8 @@ def compress(job: CompressJob) -> CompressResult:
 
 def decompress(job: DecompressJob) -> bytes:
     """Reconstruct the original input; bit-identical to what was compressed."""
+    if job.mode not in (None, MODE_1TT, MODE_4TT):
+        raise ValueError(f"unknown mode {job.mode!r}")
     artifact = _as_bytes(job.artifact)
     kind = gridfile.artifact_kind(artifact)
     if kind is None:

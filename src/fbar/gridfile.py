@@ -18,7 +18,7 @@ The grid region holds the chars of the last block at its rows' slots.
 Rows come in and go out only as a row stream (2 big-endian bytes per
 row, the address channel's bytes): the writers take one, and the
 parsers take the artifact's bytes and return one.  A writer builds the
-artifact with one join of its fields and writes it to its sink once.
+artifact with one join of its fields and returns it.
 A parser reads its fields as slices of a snapshot it takes of the
 artifact (no copy when given bytes), so the row stream it returns is a
 read-only view of that snapshot: later changes to a mutable input do
@@ -156,9 +156,10 @@ class GridFormatError(Exception):
 class GridArtifact(namedtuple(
     "GridArtifact",
     "mode pair_count occupant_len separator_count block_count collision_restarts "
-    "address_len tail_len total_len",
+    "address_len tail_len artifact",
 )):
-    """Writer summary: what went into each channel of one artifact.
+    """What write_grid returns: the artifact's bytes, and what went into
+    each of its channels.
 
     occupant_len counts the occupant chars and the separators: the
     nominal, paper-accounted size.
@@ -195,21 +196,16 @@ def _pair_count(stream):
     return len(stream) // 2
 
 
-def _pack(sink, fields, values):
-    """Write one artifact, a value per field, with one join and one
-    ``sink.write``; returns its length.  A number goes big-endian into its
-    field; a channel's bytes, any bytes-like object, follow their length."""
+def _pack(fields, values):
+    """One artifact's bytes, a value per field, made with one join.  A
+    number goes big-endian into its field; a channel's bytes, any
+    bytes-like object, follow their length."""
     parts = []
     for (_, size), value in zip(fields, values):
         if isinstance(size, _Channel) and size:
             parts.append(len(value).to_bytes(size, "big"))
         parts.append(value.to_bytes(size, "big") if isinstance(value, int) else value)
-    artifact = b"".join(parts)
-    try:
-        sink.write(artifact)
-    except OSError as exc:
-        raise GridFormatError(f"sink write failed: {exc}") from exc
-    return len(artifact)
+    return b"".join(parts)
 
 
 def _block_lengths(stream, mode):
@@ -308,8 +304,9 @@ def _region(stream, mode, first, units):
     return region
 
 
-def write_grid(stream, mode, sink, tail=None):
-    """Write a paper-style artifact; returns a GridArtifact summary.
+def write_grid(stream, mode, tail=None):
+    """A paper-style artifact, returned as a GridArtifact: its bytes and
+    a summary of its channels.
 
     ``stream`` is the row stream, any bytes-like object taken as bytes;
     it becomes the address channel as it is.  ValueError if odd-sized.
@@ -330,8 +327,8 @@ def write_grid(stream, mode, sink, tail=None):
     collision_restarts = separators - lengths.count(BLOCK_UNITS)
     del lengths  # not held while the artifact is joined
     region = _region(stream, mode, units - last, last)
-    total = _pack(sink, _PAPER_FIELDS, (GRID_MAGIC, VERSION, _MODE_BYTES[mode], pair_count,
-                                        region, occupant, stream, tail_bytes))
+    artifact = _pack(_PAPER_FIELDS, (GRID_MAGIC, VERSION, _MODE_BYTES[mode], pair_count,
+                                     region, occupant, stream, tail_bytes))
     return GridArtifact(
         mode=mode,
         pair_count=pair_count,
@@ -341,15 +338,15 @@ def write_grid(stream, mode, sink, tail=None):
         collision_restarts=collision_restarts,
         address_len=len(stream),
         tail_len=len(tail_bytes),
-        total_len=total,
+        artifact=artifact,
     )
 
 
-def write_honest(stream, sink, tail=None):
-    """Write a self-contained artifact from a row stream, taken as bytes; returns bytes written."""
+def write_honest(stream, tail=None):
+    """The bytes of a self-contained artifact of a row stream, taken as bytes."""
     stream = memoryview(stream).cast("B")
-    return _pack(sink, _HONEST_FIELDS, (HONEST_MAGIC, VERSION, _pair_count(stream), stream,
-                                        _tail_bytes(tail)))
+    return _pack(_HONEST_FIELDS, (HONEST_MAGIC, VERSION, _pair_count(stream), stream,
+                                  _tail_bytes(tail)))
 
 
 class _Reader:

@@ -1,4 +1,3 @@
-import io
 import time
 import tracemalloc
 from array import array
@@ -162,6 +161,25 @@ def test_decompress_requested_mode_mismatch(tt):
         decompress(DecompressJob(artifact=artifact, tables=tt, mode=MODE_4TT))
 
 
+@pytest.mark.parametrize("mode", ("2tt", "1TT", ""))
+@pytest.mark.parametrize("fmt", codec.FORMATS)
+def test_decompress_rejects_an_unknown_mode(fmt, mode, tt):
+    # before the artifact is read, as compress does: no mode mismatch, and
+    # no honest artifact decoded without a word
+    artifact = compress(CompressJob(data=b"xyzw", tables=tt, fmt=fmt)).artifact
+    with pytest.raises(ValueError, match=f"^unknown mode {mode!r}$"):
+        decompress(DecompressJob(artifact=artifact, tables=tt, mode=mode))
+
+
+def test_compress_and_write_grid_reject_unknown_modes_and_formats(tt):
+    with pytest.raises(ValueError, match="^unknown mode '2tt'$"):
+        compress(CompressJob(data=b"xyzw", tables=tt, mode="2tt"))
+    with pytest.raises(ValueError, match="^unknown format 'zip'$"):
+        compress(CompressJob(data=b"xyzw", tables=tt, fmt="zip"))
+    with pytest.raises(ValueError, match="^unknown mode '2tt'$"):
+        gridfile.write_grid(b"\x00\x01", "2tt")
+
+
 def test_any_table_decodes_any_paper_artifact(tt, set4):
     data = b"one mapping, four copies!"
     for tables, mode, other in ((set4, MODE_4TT, tt), (tt, MODE_1TT, set4)):
@@ -216,13 +234,15 @@ def test_artifact_is_the_writers_bytes_and_decodes_exactly(fmt, mode, layout, tt
     stream = b"".join(addressing.row_of_pair(x, x2, layout).to_bytes(2, "big") for x, x2 in pairs)
     for tail in (None, *range(256)):
         data = even if tail is None else even + bytes((tail,))
-        sink = io.BytesIO()
         if fmt == FORMAT_PAPER:
-            gridfile.write_grid(stream, mode, sink, tail)
+            written = gridfile.write_grid(stream, mode, tail).artifact
         else:
-            gridfile.write_honest(stream, sink, tail)
-        artifact = compress(CompressJob(data=data, tables=tables, mode=mode, fmt=fmt)).artifact
-        assert type(artifact) is bytes and artifact == sink.getvalue()
+            written = gridfile.write_honest(stream, tail)
+        result = compress(CompressJob(data=data, tables=tables, mode=mode, fmt=fmt))
+        artifact = result.artifact
+        assert type(artifact) is bytes and artifact == written
+        # a paper artifact is the summary's own bytes, not a copy
+        assert fmt == FORMAT_HONEST or artifact is result.summary.artifact
         restored = decompress(DecompressJob(artifact=artifact, tables=tables))
         assert type(restored) is bytes and restored == data
 

@@ -1,4 +1,3 @@
-import io
 import itertools
 import random
 import re
@@ -40,16 +39,12 @@ def stream_of(rows):
 
 
 def grid_bytes(rows, mode=MODE_1TT, tail=None):
-    sink = io.BytesIO()
-    summary = write_grid(stream_of(rows), mode, sink, tail)
-    return sink.getvalue(), summary
+    summary = write_grid(stream_of(rows), mode, tail)
+    return summary.artifact, summary
 
 
 def honest_bytes(rows, tail=None):
-    sink = io.BytesIO()
-    total = write_honest(stream_of(rows), sink, tail)
-    assert total == len(sink.getvalue())
-    return sink.getvalue()
+    return write_honest(stream_of(rows), tail)
 
 
 # Where the artifact fields start, spelled once for these tests and
@@ -250,7 +245,7 @@ def test_grid_region_is_always_64k():
         occ = summary.occupant_len
         addr = summary.address_len
         expected = OCCUPANT_AT + occ + 8 + addr + 1 + summary.tail_len
-        assert len(data) == expected == summary.total_len
+        assert len(data) == expected
         assert parse_grid(data).stream == stream_of(rows)
 
 
@@ -266,10 +261,7 @@ row_streams = st.binary(max_size=800).map(lambda b: b[: len(b) - len(b) % 2])
     kind=st.sampled_from(BUFFERS),
 )
 def test_parse_inverts_write(stream, tail, mode, kind):
-    sink = io.BytesIO()
-    summary = write_grid(kind(stream), mode, sink, tail)
-    data = sink.getvalue()
-    assert summary.total_len == len(data)
+    data = write_grid(kind(stream), mode, tail).artifact
     parsed = parse_grid(kind(data))
     assert parsed.stream == stream
     assert parsed.tail == tail
@@ -283,10 +275,7 @@ def test_parse_inverts_write(stream, tail, mode, kind):
     kind=st.sampled_from(BUFFERS),
 )
 def test_honest_parse_inverts_write(stream, tail, kind):
-    sink = io.BytesIO()
-    total = write_honest(kind(stream), sink, tail)
-    data = sink.getvalue()
-    assert total == len(data)
+    data = write_honest(kind(stream), tail)
     parsed = parse_honest(kind(data))
     assert parsed.stream == stream
     assert parsed.tail == tail
@@ -306,14 +295,11 @@ def test_buffer_kinds_write_the_same_artifact(case, tail):
     halfwords.frombytes(stream)
     buffers = (stream, bytearray(stream), memoryview(stream), memoryview(b"xx" + stream)[2:],
                halfwords, memoryview(halfwords))
-    written = []
-    for buf in buffers:
-        grid, honest = io.BytesIO(), io.BytesIO()
-        summary = write_grid(buf, mode, grid, tail)
-        total = write_honest(buf, honest, tail)
-        written.append((grid.getvalue(), summary, honest.getvalue(), total))
+    written = [(write_grid(buf, mode, tail), write_honest(buf, tail)) for buf in buffers]
     assert written == [written[0]] * len(buffers)
-    assert parse_honest(written[0][2]).stream == stream
+    # each writer returns the bytes it joined, whatever buffer it was given
+    assert all(type(s.artifact) is bytes and type(h) is bytes for s, h in written)
+    assert parse_honest(written[0][1]).stream == stream
 
 
 def test_honest_payload_is_rows_plus_tail():
@@ -388,12 +374,10 @@ def test_bad_tail_marker_rejected():
 
 def test_odd_length_stream_rejected_on_write():
     for kind in BUFFERS:
-        sink = io.BytesIO()
         with pytest.raises(ValueError, match="row stream of odd length 3"):
-            write_grid(kind(b"\x00\x01\x02"), MODE_1TT, sink)
+            write_grid(kind(b"\x00\x01\x02"), MODE_1TT)
         with pytest.raises(ValueError, match="row stream of odd length 3"):
-            write_honest(kind(b"\x00\x01\x02"), sink)
-        assert sink.getvalue() == b""
+            write_honest(kind(b"\x00\x01\x02"))
 
 
 def test_honest_errors_name_their_offset():
@@ -497,9 +481,8 @@ def test_layout_matches_reference_on_corpora(kind, size, mode, layout):
     # 64 KiB inputs, some odd and some leaving a partial 4tt unit, with
     # blocks of 1 (zero) to 95 (random) units.
     stream, tail = codec.encode_rows(corpus_of(kind, size), layout)
-    sink = io.BytesIO()
-    summary = write_grid(stream, mode, sink, tail)
-    data = sink.getvalue()
+    summary = write_grid(stream, mode, tail)
+    data = summary.artifact
     occupant, region, blocks, separators, restarts = reference_layout(
         list(addressing.row_array(stream)), mode
     )
