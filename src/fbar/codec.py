@@ -31,10 +31,18 @@ CompressJob = namedtuple(
 )
 # mode None: trust the header; ValueError unless None, 1tt or 4tt.
 DecompressJob = namedtuple("DecompressJob", "artifact tables mode", defaults=(None,))
+
+
 # artifact: the writer's bytes, not a copy; summary: the
 # gridfile.GridArtifact that holds them, None for the honest format;
 # report: a metrics.MetricsReport.
-CompressResult = namedtuple("CompressResult", "artifact summary report")
+class CompressResult(namedtuple("CompressResult", "artifact summary report")):
+    __slots__ = ()
+
+    def __repr__(self):
+        """The fields, with the artifact's length in place of its bytes."""
+        return (f"{type(self).__name__}(artifact=<{len(self.artifact)} bytes>, "
+                f"summary={self.summary!r}, report={self.report!r})")
 
 
 def _as_bytes(data):

@@ -172,6 +172,11 @@ class GridArtifact(namedtuple(
         """Bytes actually required to decode: address channel plus tail."""
         return self.address_len + self.tail_len
 
+    def __repr__(self):
+        """The fields, with the artifact's length in place of its bytes."""
+        fields = "".join(f"{name}={value!r}, " for name, value in zip(self._fields, self[:-1]))
+        return f"{type(self).__name__}({fields}artifact=<{len(self.artifact)} bytes>)"
+
 
 # stream: the row stream; tail: the odd last byte, or None.
 ParsedHonest = namedtuple("ParsedHonest", "stream tail")
@@ -350,15 +355,16 @@ def write_honest(stream, tail=None):
 
 
 class _Reader:
-    """One artifact's fields in its format's table order, each checked whole
-    and read as a memoryview slice of a bytes snapshot of the artifact;
-    ``at`` is the offset of the last one's bytes, after any length."""
+    """One artifact's fields in its format's table order, magic and version
+    checked on entry, each checked whole and read as a memoryview slice of a
+    bytes snapshot; ``at`` is the last field's offset, after any length."""
 
     def __init__(self, data, fields, magic):
         self.data, self.fields, self.off = memoryview(bytes(data)), iter(fields), 0
         found = bytes(self.next())
         if found != magic:
             raise GridFormatError(f"bad magic {found!r}", offset=self.at)
+        self.number(VERSION)
 
     def _take(self, n, what):
         if len(self.data) - self.off < n:
@@ -549,7 +555,6 @@ def parse_grid(data):
     mismatches, inconsistent grid region, trailing garbage.
     """
     reader = _Reader(data, _PAPER_FIELDS, GRID_MAGIC)
-    reader.number(VERSION)
     mode_byte = reader.number()
     parsed_mode = _MODE_NAMES.get(mode_byte)
     if parsed_mode is None:
@@ -594,7 +599,6 @@ def parse_honest(data):
     Its row stream is a read-only view of the artifact.
     """
     reader = _Reader(data, _HONEST_FIELDS, HONEST_MAGIC)
-    reader.number(VERSION)
     stream = reader.next(2 * reader.number())
     return ParsedHonest(stream=stream, tail=reader.tail())
 

@@ -94,8 +94,7 @@ def generate_tt(layout="interleaved"):
 
 
 class TtVerifyReport:
-    def __init__(self, row_count, violations=None):
-        self.row_count = row_count
+    def __init__(self, violations=None):
         # (row, message); each report gets its own list
         self.violations = [] if violations is None else violations
 
@@ -112,7 +111,7 @@ def verify_tt(tt):
     differ are walked.  A pair stored twice always sits at a row where it
     does not belong, so it is named too.
     """
-    report = TtVerifyReport(row_count=TT_ROWS)
+    report = TtVerifyReport()
     expected = addressing.pair_table(tt.layout)
     originals = tt.originals
     if originals == expected:
@@ -217,11 +216,11 @@ def load_binary(source, layout="interleaved"):
 
 
 class TtSet4(TranslationTable):
-    """The 4-TT mode's table: four copies of one table, coded as that table.
+    """The 4-TT mode's table: four copies of one table, which it then is.
 
-    The four tables must be equal; the set holds their one mapping and
-    keeps the first table's verification, so a verified table is not
-    verified again.
+    The four tables must be equal; the set is their one mapping and keeps
+    the first table's verification, so a verified table is not verified
+    again.
     """
 
     def __init__(self, tables):
@@ -233,7 +232,6 @@ class TtSet4(TranslationTable):
             raise TtError("the 4 tables of a set must be identical")
         super().__init__(first.originals, first.layout)
         self._verified_layout = first._verified_layout
-        self.tables = tables
 
     @classmethod
     def canonical(cls, layout="interleaved"):

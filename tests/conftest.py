@@ -20,9 +20,10 @@ def set4():
 
 def occupant_stream(data):
     """Raw occupant stream of paper-format bytes, read through gridfile's
-    field table; checks magic and truncation only."""
+    field table; checks magic, version and truncation only.  The reader
+    refuses a version it cannot walk before the fields after it."""
     reader = gridfile._Reader(data, gridfile._PAPER_FIELDS, gridfile.GRID_MAGIC)
-    for name, _ in gridfile._PAPER_FIELDS[1:]:
+    for name, _ in gridfile._PAPER_FIELDS[2:]:
         field = reader.next()
         if name == "occupant stream":
             return bytes(field)

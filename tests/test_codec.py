@@ -1,3 +1,4 @@
+import random
 import time
 import tracemalloc
 from array import array
@@ -245,6 +246,22 @@ def test_artifact_is_the_writers_bytes_and_decodes_exactly(fmt, mode, layout, tt
         assert fmt == FORMAT_HONEST or artifact is result.summary.artifact
         restored = decompress(DecompressJob(artifact=artifact, tables=tables))
         assert type(restored) is bytes and restored == data
+
+
+@pytest.mark.parametrize("fmt", codec.FORMATS)
+def test_result_repr_names_sizes_not_bytes(fmt, tt):
+    data = random.Random(16).randbytes(16 * 1024)
+    result = compress(CompressJob(data=data, tables=tt, fmt=fmt))
+    text = repr(result)
+    assert len(text) < 1000 and f"artifact=<{len(result.artifact)} bytes>" in text
+    if fmt == FORMAT_PAPER:
+        assert repr(result.summary) in text
+        assert len(repr(result.summary)) < 500 and f"pair_count={len(data) // 2}" in text
+    # still a namedtuple: fields, unpacking and _replace
+    artifact, summary, report = result
+    assert result._fields == ("artifact", "summary", "report")
+    assert result._replace(summary=None) == (artifact, None, report)
+    assert type(result._replace(summary=None)) is codec.CompressResult
 
 
 @pytest.mark.parametrize("fmt", codec.FORMATS)

@@ -670,8 +670,11 @@ def test_region_mismatch_names_slot_and_block():
 
 def test_occupant_stream_rejects_truncation():
     with pytest.raises(GridFormatError) as err:
-        occupant_stream(GRID_MAGIC + bytes(10))
+        occupant_stream(GRID_MAGIC + b"\x01" + bytes(9))
     assert "truncated" in str(err.value) and err.value.offset == PAPER_HEADER_LEN
+    with pytest.raises(GridFormatError) as err:
+        occupant_stream(GRID_MAGIC + bytes(10))
+    assert "unsupported version 0" in str(err.value) and err.value.offset == 4
     data, _ = grid_bytes(list(range(10)))
     for cut in (OCCUPANT_AT - 3, OCCUPANT_AT + 5):  # length prefix, stream
         with pytest.raises(GridFormatError) as err:

@@ -64,8 +64,8 @@ def test_every_row_matches_addressing(tt):
 def test_verify_canonical_ok(tt):
     report = verify_tt(tt)
     assert report.ok
-    assert report.row_count == TT_ROWS
     assert report.violations == []
+    assert not hasattr(report, "row_count")
 
 
 def test_verify_swapped_rows_two_violations(tt):
@@ -82,7 +82,7 @@ def test_verify_swapped_rows_two_violations(tt):
 
 
 def test_verify_reports_never_share_violations():
-    a, b = TtVerifyReport(TT_ROWS), TtVerifyReport(row_count=TT_ROWS)
+    a, b = TtVerifyReport(), TtVerifyReport()
     a.violations.append((None, "row count"))
     assert b.violations == [] and b.ok
 
@@ -264,20 +264,24 @@ def test_ensure_verified_caches_and_raises(tt):
 
 
 def test_ttset4_canonical(set4):
-    assert len(set4.tables) == 4
     assert verify_tt(set4).ok
-    assert set4 == set4.tables[0]
-    with pytest.raises(TtError):
-        TtSet4(set4.tables[:3])
+    assert set4 == generate_tt()
+    assert not hasattr(set4, "tables")  # the set is its one table
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_ttset4_needs_four_tables(tt, count):
+    with pytest.raises(TtError, match=f"need exactly 4 tables, got {count}$"):
+        TtSet4((tt,) * count)
 
 
 def test_ttset4_rejects_unequal_tables(tt, tt_grouped):
     changed = bytearray(tt.originals)
     changed[0] ^= 0x01
     odd_one = TranslationTable(bytes(changed))
-    with pytest.raises(TtError):
+    with pytest.raises(TtError, match="must be identical$"):
         TtSet4((tt, tt, tt, odd_one))
-    with pytest.raises(TtError):
+    with pytest.raises(TtError, match="must be identical$"):
         TtSet4((tt, tt, tt, tt_grouped))
 
 
@@ -293,6 +297,11 @@ def test_ttset4_keeps_verification(monkeypatch):
     monkeypatch.setattr(transtable, "verify_tt", counting_verify)
     TtSet4((tt, tt, tt, tt)).ensure_verified()
     assert calls == []
+    unverified = generate_tt()
+    set4 = TtSet4((unverified,) * 4)
+    set4.ensure_verified()
+    set4.ensure_verified()
+    assert len(calls) == 1 and calls[0] is set4
 
 
 def test_grouped_layout_table_verifies(tt_grouped):
