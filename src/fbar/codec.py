@@ -26,11 +26,16 @@ class ModeMismatchError(Exception):
 
 
 # tables: any verified TranslationTable (a TtSet4 is one), for either mode.
-CompressJob = namedtuple(
-    "CompressJob", "data tables mode fmt", defaults=(MODE_1TT, FORMAT_PAPER)
-)
+class CompressJob(namedtuple("CompressJob", "data tables mode fmt",
+                             defaults=(MODE_1TT, FORMAT_PAPER))):
+    __slots__ = ()
+    __repr__ = gridfile._sized_repr
+
+
 # mode None: trust the header; ValueError unless None, 1tt or 4tt.
-DecompressJob = namedtuple("DecompressJob", "artifact tables mode", defaults=(None,))
+class DecompressJob(namedtuple("DecompressJob", "artifact tables mode", defaults=(None,))):
+    __slots__ = ()
+    __repr__ = gridfile._sized_repr
 
 
 # artifact: the writer's bytes, not a copy; summary: the
@@ -38,11 +43,7 @@ DecompressJob = namedtuple("DecompressJob", "artifact tables mode", defaults=(No
 # report: a metrics.MetricsReport.
 class CompressResult(namedtuple("CompressResult", "artifact summary report")):
     __slots__ = ()
-
-    def __repr__(self):
-        """The fields, with the artifact's length in place of its bytes."""
-        return (f"{type(self).__name__}(artifact=<{len(self.artifact)} bytes>, "
-                f"summary={self.summary!r}, report={self.report!r})")
+    __repr__ = gridfile._sized_repr
 
 
 def _as_bytes(data):

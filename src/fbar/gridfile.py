@@ -153,6 +153,17 @@ class GridFormatError(Exception):
         super().__init__(" ".join(parts))
 
 
+def _sized_repr(record):
+    """A namedtuple's repr with each buffer field shown as its byte count."""
+    fields = []
+    for name, value in zip(record._fields, record):
+        try:
+            fields.append(f"{name}=<{memoryview(value).nbytes} bytes>")
+        except TypeError:
+            fields.append(f"{name}={value!r}")
+    return f"{type(record).__name__}({', '.join(fields)})"
+
+
 class GridArtifact(namedtuple(
     "GridArtifact",
     "mode pair_count occupant_len separator_count block_count collision_restarts "
@@ -172,10 +183,7 @@ class GridArtifact(namedtuple(
         """Bytes actually required to decode: address channel plus tail."""
         return self.address_len + self.tail_len
 
-    def __repr__(self):
-        """The fields, with the artifact's length in place of its bytes."""
-        fields = "".join(f"{name}={value!r}, " for name, value in zip(self._fields, self[:-1]))
-        return f"{type(self).__name__}({fields}artifact=<{len(self.artifact)} bytes>)"
+    __repr__ = _sized_repr
 
 
 # stream: the row stream; tail: the odd last byte, or None.

@@ -1,8 +1,9 @@
 import os
+import random
 
 import pytest
 
-from fbar import cli, transtable
+from fbar import cli, codec, gridfile, transtable
 from fbar.cli import (
     EXIT_AUDIT_FAIL,
     EXIT_BAD_ARTIFACT,
@@ -13,6 +14,11 @@ from fbar.cli import (
     EXIT_USAGE,
     main,
 )
+from fbar.codec import CompressJob
+from fbar.gridfile import MODE_1TT, MODE_4TT
+from conftest import occupant_stream
+from test_gridfile import OCCUPANT_AT
+from test_readme import README
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +46,7 @@ def test_gen_tt_binary_count_4(tmp_path):
     ) == EXIT_OK
     for n in range(1, 5):
         path = tmp_path / f"tt{n}.bin"
+        assert os.path.getsize(path) == 5 + 4 * 65536
         with open(path, "rb") as fh:
             tt = transtable.load_binary(fh)
         assert transtable.verify_tt(tt).ok
@@ -284,6 +291,9 @@ def failure_dir(tmp_path_factory):
          "--tt", str(directory / "interleaved" / "tt1.bin")]
     ) == EXIT_OK
     (directory / "short.fbar").write_bytes(artifact.read_bytes()[:-5])
+    table = bytearray((directory / "interleaved" / "tt1.bin").read_bytes())
+    table[5:9], table[9:13] = table[9:13], table[5:9]  # records 0 and 1
+    (directory / "swapped.bin").write_bytes(table)
     return directory
 
 
@@ -299,6 +309,9 @@ FAILURES = {
     "table unloadable": (["bench", "in.txt", "--tt", "bad.bin"], EXIT_NO_TT,
                          "error: cannot load translation table bad.bin: "
                          "bad magic b'junk' (at byte offset 0)"),
+    "table records swapped": (["audit", "--tt", "swapped.bin"], EXIT_NO_TT,
+                              "error: cannot load translation table swapped.bin: "
+                              "record 0 holds row 1, expected row 0 (at byte offset 5)"),
     "unreadable input": (["compress", "missing.txt", *_TT], EXIT_UNREADABLE,
                          f"error: cannot read missing.txt: {_NO_FILE}: 'missing.txt'"),
     "unreadable artifact": (["decompress", "missing.fbar", "--tt", "missing.bin"],
@@ -312,12 +325,14 @@ FAILURES = {
     "gen-tt uncreatable directory": (
         ["gen-tt", "--out", "blocker/tables"], EXIT_USAGE,
         f"error: cannot create blocker/tables: {_NOT_DIR}: 'blocker/tables'"),
+    # a table that fails verification stops either command before it
+    # writes its output
     "verification failure": (
-        ["decompress", "in.fbar", "--tt", "grouped/tt1.bin"], EXIT_AUDIT_FAIL,
-        "error: table failed verification: row 16 holds 5655, expected 5557"),
+        ["decompress", "in.fbar", "--tt", "grouped/tt1.bin", "--out", "gate.out"],
+        EXIT_AUDIT_FAIL, "error: table failed verification: row 16 holds 5655, expected 5557"),
     "compress verification failure": (
-        ["compress", "in.txt", "--tt", "grouped/tt1.bin"], EXIT_AUDIT_FAIL,
-        "error: table failed verification: row 16 holds 5655, expected 5557"),
+        ["compress", "in.txt", "--tt", "grouped/tt1.bin", "--out", "gate.fbar"],
+        EXIT_AUDIT_FAIL, "error: table failed verification: row 16 holds 5655, expected 5557"),
     "compress reads its input before verifying": (
         ["compress", "missing.txt", "--tt", "grouped/tt1.bin"], EXIT_UNREADABLE,
         f"error: cannot read missing.txt: {_NO_FILE}: 'missing.txt'"),
@@ -338,6 +353,16 @@ def test_failure_prints_one_error_line(case, failure_dir, monkeypatch, capsys, n
     monkeypatch.chdir(failure_dir)
     assert main(argv) == status
     assert capsys.readouterr() == ("", line + "\n")
+    if "--out" in argv:
+        assert not os.path.exists(argv[argv.index("--out") + 1])
+
+
+def test_bad_choice_is_a_usage_error_naming_the_option(capsys):
+    argv = ["compress", "input", "--tt", "tt/tt1.bin", "--mode", "2tt"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --mode: invalid choice" in captured.err
 
 
 def _masked(row):
@@ -392,3 +417,126 @@ def test_help_follows_columns(monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", columns)
         by_width[columns] = _help_texts(capsys)
     assert by_width["60"] != by_width["120"]
+
+
+def _inputs():
+    with open(README, "rb") as fh:
+        text = fh.read()
+    chunks = random.Random(22)
+    return {
+        # an odd and an even length: with and without the tail byte
+        "odd": text[:5001],
+        "even": text[:5000],
+        # every paper block one unit; 50,001 rows leave a partial last
+        # 4tt unit, and the odd last byte is the tail
+        "zero": bytes(100003),
+        # 95 distinct pairs: one exactly full 1tt block, which keeps its separator
+        "full": bytes(range(190)),
+        # runs of one repeated unit that cover whole 8 KiB spans and end
+        # mid-span, with the tail byte last
+        "runs": bytes(20480) + random.Random(19).randbytes(8192) + (b"AB" * 10001)[:20001],
+        # a run that starts at a separator-cycle phase other than 0 and
+        # holds whole chunks of one-unit blocks in both modes
+        "chunks": chunks.randbytes(3001) + bytes(65536) + chunks.randbytes(999),
+    }
+
+
+INPUTS = _inputs()
+
+
+@pytest.fixture(scope="module")
+def layout_tables(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("layouts")
+    for layout in ("interleaved", "grouped"):
+        assert main(["gen-tt", "--out", str(directory / layout), "--layout", layout]) == EXIT_OK
+    return directory
+
+
+@pytest.mark.parametrize("fmt", codec.FORMATS)
+@pytest.mark.parametrize("mode", (MODE_1TT, MODE_4TT))
+@pytest.mark.parametrize("layout", ("interleaved", "grouped"))
+@pytest.mark.parametrize("name", INPUTS)
+def test_file_round_trip(name, layout, mode, fmt, layout_tables, tmp_path, no_tt_env):
+    # every step names the layout; decompress takes the mode from the artifact
+    common = ["--tt", str(layout_tables / layout / "tt1.bin"), "--layout", layout]
+    source, artifact, restored = (tmp_path / f for f in ("in", "in.fbar", "in.out"))
+    source.write_bytes(INPUTS[name])
+    assert main(["compress", str(source), "--mode", mode, "--format", fmt,
+                 "--out", str(artifact), *common]) == EXIT_OK
+    assert main(["decompress", str(artifact), "--out", str(restored), *common]) == EXIT_OK
+    assert restored.read_bytes() == INPUTS[name]
+
+
+def _flip(data, at):
+    return data[:at] + bytes((data[at] ^ 1,)) + data[at + 1 :]
+
+
+@pytest.fixture(scope="module")
+def broken_artifacts(tt):
+    """Interleaved artifacts one edit away from valid, by name."""
+    broken = {}
+    for mode in (MODE_1TT, MODE_4TT):
+        # one changed occupant byte, and the first separator deleted or
+        # doubled, with the length prefix mended
+        paper = codec.compress(CompressJob(INPUTS["odd"], tt, mode)).artifact
+        size = len(occupant_stream(paper))
+        sep = next(i for i in range(OCCUPANT_AT, OCCUPANT_AT + size) if paper[i] < 32)
+        head = paper[: OCCUPANT_AT - 8]
+        broken[f"changed.{mode}"] = _flip(paper, OCCUPANT_AT + 7)
+        broken[f"cut.{mode}"] = (head + (size - 1).to_bytes(8, "big")
+                                 + paper[OCCUPANT_AT:sep] + paper[sep + 1 :])
+        broken[f"doubled.{mode}"] = (head + (size + 1).to_bytes(8, "big")
+                                     + paper[OCCUPANT_AT : sep + 1] + paper[sep:])
+        # one byte cut from or appended to an honest artifact
+        honest = codec.compress(CompressJob(INPUTS["odd"], tt, mode, codec.FORMAT_HONEST)).artifact
+        broken[f"short.{mode}"] = honest[:-1]
+        broken[f"long.{mode}"] = honest + b"x"
+        # the first and last occupant byte and the last separator of
+        # 50,001 one-unit 1tt blocks or 12,501 4tt ones; in 1tt, whose
+        # stream the parser checks in many spans, each byte next to the
+        # first span boundary too
+        zero = codec.compress(CompressJob(INPUTS["zero"], tt, mode)).artifact
+        end = OCCUPANT_AT + len(occupant_stream(zero))
+        last_sep = next(i for i in reversed(range(OCCUPANT_AT, end)) if zero[i] < 32)
+        for bad, at in (("first", OCCUPANT_AT), ("last", end - 1), ("lastsep", last_sep)):
+            broken[f"{bad}.{mode}"] = _flip(zero, at)
+        if mode == MODE_1TT:
+            assert end - OCCUPANT_AT > 2 * gridfile._SPAN
+            for bad, at in (("span-1", -1), ("span", 0), ("span+1", 1)):
+                broken[f"{bad}.{mode}"] = _flip(zero, OCCUPANT_AT + gridfile._SPAN + at)
+    # separator 31 before the first chunk of one-unit blocks that the
+    # parser sets aside, that chunk's first byte, and the byte after the
+    # last such chunk
+    chunks = codec.compress(CompressJob(INPUTS["chunks"], tt)).artifact
+    occupant, chunk = occupant_stream(chunks), gridfile._ONE_UNIT_CHUNK
+    first = occupant.find(b"\x1f" + chunk) + 1
+    after = first
+    while occupant.startswith(chunk, after, len(occupant) - 1):
+        after += len(chunk)
+    assert first > 0 and after - first >= 2 * len(chunk)
+    for bad, at in (("sep31", first - 1), ("copy", first), ("after", after)):
+        broken[f"chunks-{bad}.1tt"] = _flip(chunks, OCCUPANT_AT + at)
+    return broken
+
+
+BROKEN = (
+    *(f"{bad}.{mode}" for bad in ("changed", "cut", "doubled", "short", "long",
+                                  "first", "last", "lastsep") for mode in ("1tt", "4tt")),
+    "span-1.1tt", "span.1tt", "span+1.1tt", "chunks-sep31.1tt", "chunks-copy.1tt",
+    "chunks-after.1tt",
+)
+
+
+@pytest.mark.parametrize("name", BROKEN)
+def test_broken_artifact_exits_4_naming_its_offset(name, broken_artifacts, tt_file, tmp_path,
+                                                    capsys, no_tt_env):
+    artifact, out = tmp_path / "broken.fbar", tmp_path / "broken.out"
+    artifact.write_bytes(broken_artifacts[name])
+    assert main(["decompress", str(artifact), "--tt", tt_file, "--out", str(out)]) == EXIT_BAD_ARTIFACT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed artifact: ")
+    assert captured.err.count("\n") == 1 and "at byte offset" in captured.err
+    if name.startswith("doubled"):
+        assert "separator without preceding occupant chars" in captured.err
+    assert not out.exists()

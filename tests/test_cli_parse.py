@@ -92,8 +92,8 @@ def test_empty_argv_goes_to_argparse():
     assert cli._parse_fast([]) is None
 
 
-# The command lines perfbench/run.py spawns and the install-smoke CI job
-# runs, then lines giving every other flag and an int value.
+# The command lines perfbench/run.py spawns and the file round trips in
+# test_cli.py run, then lines giving every other flag and an int value.
 PLAIN = [
     ["gen-tt", "--out", "tables", "--format", "binary"],
     ["gen-tt", "--out", "tables/text", "--format", "text"],

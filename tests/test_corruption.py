@@ -5,11 +5,8 @@ copy of it with one bit flipped is decompressed, and the flip is sorted
 into a typed error (GridFormatError, which the CLI maps to exit code 4),
 the same output, or wrong output.  Every bit outside the paper grid
 region is flipped, and a seeded sample of REGION_SAMPLES region bits.
-Any other exception fails the test.
-
-This module imports nothing but fbar and the standard library, so it
-also runs against an installed package without pytest:
-``flip_counts(fmt, mode, layout)`` returns one case's three counts.
+Any other exception fails the test.  ``flip_counts(fmt, mode, layout)``
+returns one case's three counts.
 """
 
 import random

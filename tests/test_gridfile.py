@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 from array import array
 
 import pytest
@@ -422,6 +423,32 @@ def test_header_and_tail_length_errors_name_their_offset(tail):
     with pytest.raises(GridFormatError) as err:
         parse_grid(bytes(bad))
     assert "unknown mode byte 2" in str(err.value) and err.value.offset == 5
+
+
+@pytest.mark.parametrize("mode", (MODE_1TT, MODE_4TT))
+@pytest.mark.parametrize("fmt", codec.FORMATS)
+def test_declared_lengths_at_their_maximum_are_refused_in_bounded_memory(fmt, mode, tt):
+    # Each length the reader is handed, the pair count and every written
+    # channel length, set to the most its field holds: the reader must
+    # refuse it from the bytes it has, not allocate what it declares.
+    data = random.Random(3).randbytes(16 * 1024 + 1)  # the odd last byte is the tail
+    artifact = codec.compress(codec.CompressJob(data, tt, mode, fmt)).artifact
+    tail_len = (len(artifact) - 3, 1)
+    if fmt == codec.FORMAT_PAPER:
+        address_len_at = OCCUPANT_AT + len(occupant_stream(artifact))
+        fields = ((PAPER_HEADER_LEN - 8, 8), (OCCUPANT_AT - 8, 8), (address_len_at, 8), tail_len)
+    else:
+        fields = ((HONEST_HEADER_LEN - 8, 8), tail_len)
+    for at, width in fields:
+        bad = artifact[:at] + b"\xff" * width + artifact[at + width :]
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridFormatError, match="at byte offset"):
+                codec.decompress(codec.DecompressJob(bad, tt))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(artifact), (at, peak, len(artifact))
 
 
 @settings(max_examples=150, deadline=None)
