@@ -104,7 +104,10 @@ def cmd_gen_tt(args):
     for n in range(1, args.count + 1):
         path = os.path.join(out_dir, f"tt{n}.{ext}")
         written = _write(path, writer, tt)
-        print(f"wrote {path}: {written} bytes, {tt.row_count} rows, verified")
+        if args.report == "kv":
+            print(f"path={path} bytes={written} rows={tt.row_count} layout={tt.layout}")
+        else:
+            print(f"wrote {path}: {written} bytes, {tt.row_count} rows, verified")
     return EXIT_OK
 
 

@@ -129,6 +129,13 @@ class MetricsReport:
         self._data = data
         self._order0 = None
 
+    def __repr__(self):
+        return (
+            f"{type(self).__name__}(mode={self.mode!r}, fmt={self.fmt!r}, "
+            f"input_size={self.input_size}, honest_size={self.honest_size}, "
+            f"artifact_size={self.artifact_size}, elapsed={self.elapsed!r})"
+        )
+
     @property
     def paper_size_1tt(self):
         """Nominal 1tt size of the input."""

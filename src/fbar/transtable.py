@@ -7,8 +7,6 @@ compact binary form with a magic header and its records in row order.
 A table's records are immutable after construction and safe to share.
 """
 
-import itertools
-
 from . import addressing
 
 TT_ROWS = addressing.ROWS
@@ -128,39 +126,113 @@ def verify_tt(tt):
     return report
 
 
-_NIBBLES = tuple(str(c) for c in range(1, 17))
-_ALPHABET_TEXT = OCCUPANT_ALPHABET.decode("ascii")
-# Lines joined per write: enough to amortize the call, few enough that
-# the 8 MiB text is never held whole.
+# The text form is written _TEXT_CHUNK_ROWS lines per ``sink.write``:
+# enough to amortize the per-chunk work, few enough that the 8 MiB text is
+# never held whole.
 _TEXT_CHUNK_ROWS = 1024
+assert TT_ROWS % _TEXT_CHUNK_ROWS == 0
+
+# A grid row (see serialize_text): the row number at 0 (5 digits), the
+# address at 6 (4 coordinates of 2 digits), the pair at _GRID_PAIR (two
+# escapes of 3 bytes), 7 spaces, and at _GRID_PAD the 10 pad columns: one
+# per column that may hold 0x00, with a space exactly where it has 0x00.
+_GRID_TEMPLATE = (
+    bytes(5) + b" " + b"\0\0x\0\0x\0\0x\0\0 " + OCCUPANT_ALPHABET + b" "
+    + bytes(6) + b" " * 7 + bytes(10) + b"\n"
+)
+_GRID_WIDTH = len(_GRID_TEMPLATE)  # 138
+_GRID_PAIR = 114
+_GRID_PAD = 127
+_SPACE_WHERE_NUL = b" " + bytes(255)  # translate table: 0x00 -> space, all else -> 0x00
+
+
+def _strip(symbols, stride):
+    """(strip, period): strip[i] is symbols[i // stride % len(symbols)].
+
+    The strip holds a period and a chunk more, and at most TT_ROWS and a
+    chunk, so rows i..i + _TEXT_CHUNK_ROWS from any i % period are in it.
+    """
+    period = stride * len(symbols)
+    size = min(period, TT_ROWS) + _TEXT_CHUNK_ROWS
+    cycle = b"".join(bytes((s,)) * stride for s in symbols)
+    return (cycle * (size // period + 1))[:size], period
 
 
 def serialize_text(tt, sink):
     """Write the fixed-width text form; returns the byte count (8 MiB).
 
-    Rows are formatted from the nibble strings of their addresses, taken
-    in row order (l fastest), and from a per-byte escape table, and are
-    written 1,024 lines per ``sink.write``.
+    Line r + 1 is row r: its number, its address (l fastest), the 95
+    occupant characters and its pair, separated by spaces and padded with
+    spaces to 127 bytes and a newline.  In the pair, printable ASCII but
+    '%' stands for itself and any other byte is written %XX.
+
+    The lines are built 1,024 at a time (``_TEXT_CHUNK_ROWS``) as a grid
+    of 138-byte rows in one reused bytearray, a column at a time: every
+    field sits at its widest, padded with 0x00, a byte no line holds
+    since every other byte is escaped.  The constant columns come from
+    one template row.  The row-number digits and the address coordinates
+    are slices of periodic strips, with 0x00 for leading zeros; the
+    pair's columns are ``bytes.translate`` of its bytes, and its second
+    escape is padded with spaces.  A pad column per column that may hold
+    0x00 gives every row the same 0x00 count, so one translate that
+    deletes them gives each chunk's exact 128-byte lines, written with
+    one ``sink.write``.
     """
-    # Text form of one original byte: printable ASCII stands for itself,
-    # any other byte (and the escape mark) is written as %XX.
-    escaped = tuple(
-        chr(b) if 32 <= b <= 126 and b != _ESCAPE_MARK else f"%{b:02X}" for b in range(256)
-    )
+    rows = _TEXT_CHUNK_ROWS
+    width = _GRID_WIDTH
+    # (grid offset, place value, strip, period) of each row-number digit;
+    # its strip is indexed by the number, r + 1
+    number = [(4 - e, 10**e, *_strip(b"0123456789", 10**e)) for e in range(5)]
+    # (grid offset, tens strip, units strip, period) of each coordinate, 1..16
+    tens_symbols, units_symbols = b"\0" * 9 + b"1" * 7, b"1234567890123456"
+    address = [
+        (6 + 3 * k, _strip(tens_symbols, stride)[0], *_strip(units_symbols, stride))
+        for k, stride in enumerate((4096, 256, 16, 1))
+    ]
+    # Translate tables of an escape's three bytes: a byte that stands for
+    # itself, then fill twice; any other byte, %XX.
+    printable = [32 <= b <= 126 and b != _ESCAPE_MARK for b in range(256)]
 
-    def text_line(number, address, x, x2):  # row number - 1, holding the pair (x, x2)
-        body = f"{number} {address} {_ALPHABET_TEXT} {escaped[x]}{escaped[x2]}"
-        return body.ljust(TEXT_ROW_BYTES - 1) + "\n"
+    def escape(fill):
+        return (
+            bytes(b if p else _ESCAPE_MARK for b, p in enumerate(printable)),
+            bytes(fill if p else b"0123456789ABCDEF"[b >> 4] for b, p in enumerate(printable)),
+            bytes(fill if p else b"0123456789ABCDEF"[b & 15] for b, p in enumerate(printable)),
+        )
 
-    addresses = map("x".join, itertools.product(_NIBBLES, repeat=4))
+    first, second = escape(0), escape(ord(" "))  # only spaces follow the second
+
+    buf = bytearray(_GRID_TEMPLATE * rows)
     originals = tt.originals
-    lines = map(text_line, itertools.count(1), addresses, originals[0::2], originals[1::2])
     written = 0
-    try:
-        while chunk := "".join(itertools.islice(lines, _TEXT_CHUNK_ROWS)):
-            written += sink.write(chunk.encode("ascii"))
-    except OSError as exc:
-        raise TtError(f"text serialization failed after {written} bytes: {exc}") from exc
+    for r0 in range(0, TT_ROWS, rows):
+        blanks = []  # the columns that may hold 0x00, in pad order
+        n0 = r0 + 1
+        for offset, place, strip, period in number:
+            at = n0 % period
+            column = strip[at : at + rows]
+            if n0 < place:  # leading zeros
+                column = bytes(min(place - n0, rows)) + column[place - n0 :]
+            buf[offset::width] = column
+            if place > 1:
+                blanks.append(column)
+        for offset, tens, units, period in address:
+            at = r0 % period
+            buf[offset::width] = column = tens[at : at + rows]
+            buf[offset + 1 :: width] = units[at : at + rows]
+            blanks.append(column)
+        x = originals[2 * r0 : 2 * (r0 + rows) : 2]
+        y = originals[2 * r0 + 1 : 2 * (r0 + rows) : 2]
+        pair = [x.translate(t) for t in first] + [y.translate(t) for t in second]
+        for k, column in enumerate(pair):
+            buf[_GRID_PAIR + k :: width] = column
+        blanks += pair[1:3]  # 0x00 where the first byte stands for itself
+        for k, column in enumerate(blanks):
+            buf[_GRID_PAD + k :: width] = column.translate(_SPACE_WHERE_NUL)
+        try:
+            written += sink.write(buf.translate(None, b"\0"))
+        except OSError as exc:
+            raise TtError(f"text serialization failed after {written} bytes: {exc}") from exc
     return written
 
 
@@ -173,7 +245,7 @@ def serialize_binary(tt, sink):
     buf[7::4] = tt.originals[0::2]
     buf[8::4] = tt.originals[1::2]
     try:
-        sink.write(bytes(buf))
+        sink.write(buf)
     except OSError as exc:
         raise TtError(f"binary serialization failed: {exc}") from exc
     return len(buf)

@@ -40,6 +40,21 @@ def test_gen_tt_text_is_8mib(tmp_path, capsys):
     assert os.path.getsize(tmp_path / "tt1.txt") == 8388608
 
 
+@pytest.mark.parametrize("layout", ["interleaved", "grouped"])
+def test_gen_tt_report_kv_names_each_table(tmp_path, capsys, layout):
+    argv = ["gen-tt", "--out", str(tmp_path), "--count", "4", "--layout", layout]
+    assert main(argv) == EXIT_OK
+    paths = [tmp_path / f"tt{n}.bin" for n in range(1, 5)]
+    assert capsys.readouterr().out == "".join(
+        f"wrote {path}: 262149 bytes, 65536 rows, verified\n" for path in paths
+    )
+    assert main(argv + ["--report", "kv"]) == EXIT_OK
+    assert capsys.readouterr().out == "".join(
+        f"path={path} bytes=262149 rows=65536 layout={layout}\n" for path in paths
+    )
+    assert all(os.path.getsize(path) == 262149 for path in paths)
+
+
 def test_gen_tt_binary_count_4(tmp_path):
     assert main(
         ["gen-tt", "--out", str(tmp_path), "--format", "binary", "--count", "4"]

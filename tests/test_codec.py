@@ -267,6 +267,22 @@ def test_result_repr_names_sizes_not_bytes(fmt, tt):
     assert type(result._replace(summary=None)) is codec.CompressResult
 
 
+@pytest.mark.parametrize("mode", [MODE_1TT, MODE_4TT])
+@pytest.mark.parametrize("fmt", codec.FORMATS)
+def test_report_repr_names_sizes_not_bytes(fmt, mode, tt):
+    data = bytes(range(32, 127)) * 173  # printable, so its bytes would show in a repr
+    result = compress(CompressJob(data=data, tables=tt, mode=mode, fmt=fmt))
+    report = result.report
+    text = repr(report)
+    assert text == (
+        f"MetricsReport(mode={mode!r}, fmt={fmt!r}, input_size={len(data)}, "
+        f"honest_size={report.honest_size}, artifact_size={report.artifact_size}, "
+        f"elapsed={report.elapsed!r})"
+    )
+    assert data[:16].decode() not in text
+    assert repr(result).endswith(f"report={text})")
+
+
 @pytest.mark.parametrize("fmt", codec.FORMATS)
 def test_job_reprs_name_sizes_not_bytes(fmt, tt):
     data = random.Random(16).randbytes(16 * 1024)

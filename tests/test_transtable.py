@@ -1,4 +1,6 @@
 import io
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,44 @@ def test_text_row_escapes_nonprintables(tt):
     line = text_row(tt, row).decode("ascii")
     assert "%00%00" in line
     assert len(line) == TEXT_ROW_BYTES
+
+
+@pytest.mark.parametrize("originals", [
+    pytest.param(random.Random(32).randbytes(2 * TT_ROWS), id="random"),
+    # every pair once, so every byte at both positions: '%', space, 0x7F
+    # and every %XX in both escapes
+    pytest.param(addressing.ALL_ROWS, id="every-pair"),
+])
+def test_every_text_row_matches_the_oracle(originals):
+    tt = TranslationTable(originals)
+    sink = io.BytesIO()
+    assert serialize_text(tt, sink) == TEXT_TOTAL_BYTES
+    data = sink.getvalue()
+    for row in range(TT_ROWS):
+        assert data[row * TEXT_ROW_BYTES : (row + 1) * TEXT_ROW_BYTES] == text_row(tt, row), row
+
+
+class _CountingSink:
+    def __init__(self):
+        self.writes = self.bytes = 0
+
+    def write(self, data):
+        self.writes += 1
+        self.bytes += len(data)
+        return len(data)
+
+
+def test_text_serialization_never_holds_the_whole_text(tt):
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        written = serialize_text(tt, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written == sink.bytes == TEXT_TOTAL_BYTES
+    assert sink.writes > 1
+    assert peak < 1 << 20, peak
 
 
 class _FailingSink:
