@@ -31,11 +31,14 @@ reference the kernel is tested against, read F's nibbles and inverse.
 """
 
 import sys
-from array import array
 from collections import namedtuple
 
 ROWS = 65536
 LAYOUTS = ("interleaved", "grouped")
+# The artifacts' modes and formats, named here, where every command can
+# read them without loading the codec: gridfile and codec re-export them.
+MODES = MODE_1TT, MODE_4TT = ("1tt", "4tt")
+FORMATS = FORMAT_PAPER, FORMAT_HONEST = ("paper", "honest")
 
 FlagAddress = namedtuple("FlagAddress", "i j k l")
 
@@ -166,6 +169,8 @@ def decode_stream(stream, layout="interleaved", tail=None):
 
 def row_array(stream):
     """Row numbers of a row stream, as an array('H')."""
+    from array import array  # imported on first use: gen-tt and audit never load it
+
     words = array("H")
     words.frombytes(stream)
     if sys.byteorder == "little":
@@ -178,6 +183,17 @@ def row_table(layout="interleaved"):
     return row_array(encode_stream(ALL_ROWS, layout)).tolist()
 
 
+# Each layout's pair table, built by the first pair_table call for it.
+_PAIR_TABLES = {}
+
+
 def pair_table(layout="interleaved"):
-    """Bytes of length 131,072 mapping row -> its original 2-byte pair."""
-    return decode_stream(ALL_ROWS, layout)
+    """Bytes of length 131,072 mapping row -> its original 2-byte pair.
+
+    Built once per layout and kept: every call for a layout returns the
+    same immutable buffer.
+    """
+    _check_layout(layout)
+    if layout not in _PAIR_TABLES:
+        _PAIR_TABLES[layout] = decode_stream(ALL_ROWS, layout)
+    return _PAIR_TABLES[layout]

@@ -5,6 +5,10 @@ command line is read straight from that table.  argparse is imported, and
 builds its parser from the same table, only for help and for lines that
 need its rules or its usage errors; its stock formatter lays out the help.
 
+A command imports the codec, the artifact formats and the metrics
+inside its handler, when it runs them: gen-tt loads none of them, and
+audit no codec.  Mode, format and layout choices come from ``addressing``.
+
 A command that cannot finish raises ``_Failure``, and ``main`` prints its
 one ``error:`` line on stderr.  Exit codes:
     0  success
@@ -20,9 +24,7 @@ import os
 import sys
 import time
 
-from . import addressing, codec, gridfile, metrics, transtable
-from .codec import CompressJob, DecompressJob, ModeMismatchError
-from .gridfile import MODE_1TT, MODE_4TT, GridFormatError
+from . import addressing, transtable
 from .transtable import TtError, TtFormatError
 
 EXIT_OK = 0
@@ -112,10 +114,12 @@ def cmd_gen_tt(args):
 
 
 def cmd_compress(args):
+    from . import codec
+
     tables = _load_tables(args)
     data = _read(args.input)
     result = codec.compress(
-        CompressJob(data=data, tables=_verified(tables), mode=args.mode, fmt=args.format)
+        codec.CompressJob(data=data, tables=_verified(tables), mode=args.mode, fmt=args.format)
     )
     out_path = args.out or args.input + ".fbar"
     _write(out_path, _put, result.artifact)
@@ -125,16 +129,18 @@ def cmd_compress(args):
 
 
 def cmd_decompress(args):
+    from . import codec, gridfile
+
     artifact = _read(args.input)
     if gridfile.artifact_kind(artifact) is None:
         raise _Failure(EXIT_BAD_ARTIFACT, f"{args.input} is not a recognized artifact")
     tt = _verified(_load_tables(args))  # keep verification out of the timed region
     start = time.perf_counter()
     try:
-        data = codec.decompress(DecompressJob(artifact=artifact, tables=tt, mode=args.mode))
-    except ModeMismatchError as exc:
+        data = codec.decompress(codec.DecompressJob(artifact=artifact, tables=tt, mode=args.mode))
+    except codec.ModeMismatchError as exc:
         raise _Failure(EXIT_MODE_MISMATCH, str(exc))
-    except GridFormatError as exc:
+    except gridfile.GridFormatError as exc:
         raise _Failure(EXIT_BAD_ARTIFACT, f"malformed artifact: {exc}")
     elapsed = time.perf_counter() - start
     out_path = args.out or (
@@ -146,6 +152,8 @@ def cmd_decompress(args):
 
 
 def cmd_audit(args):
+    from . import metrics
+
     report = metrics.pigeonhole_audit(_load_tables(args))
     print(f"bijection over 65536 pairs: {'OK' if report.bijection_ok else 'FAILED'}")
     if not report.bijection_ok:
@@ -167,11 +175,13 @@ def cmd_audit(args):
 
 
 def _bench_row(path, tables, mode):
+    from . import codec
+
     with open(path, "rb") as fh:
         data = fh.read()
-    result = codec.compress(CompressJob(data=data, tables=tables, mode=mode))
+    result = codec.compress(codec.CompressJob(data=data, tables=tables, mode=mode))
     start = time.perf_counter()
-    restored = codec.decompress(DecompressJob(artifact=result.artifact, tables=tables))
+    restored = codec.decompress(codec.DecompressJob(artifact=result.artifact, tables=tables))
     t_d = time.perf_counter() - start
     if restored != data:
         raise RuntimeError(f"round-trip mismatch on {path}")
@@ -199,12 +209,14 @@ def _bench_line(r):
 
 
 def cmd_bench(args):
+    from . import gridfile
+
     tables = _verified(_load_tables(args))
     rows, failed = [], []
     for path in args.files:
         try:
             rows.append(_bench_row(path, tables, args.mode))
-        except (OSError, RuntimeError, GridFormatError) as exc:
+        except (OSError, RuntimeError, gridfile.GridFormatError) as exc:
             failed.append((path, str(exc)))
     if args.report == "kv":
         for r in rows:
@@ -236,6 +248,8 @@ def cmd_bench(args):
 
 
 def cmd_entropy(args):
+    from . import metrics
+
     status = EXIT_OK
     for path in args.files:
         try:
@@ -263,7 +277,7 @@ _COMMON = (
     _LAYOUT,
     _REPORT,
 )
-_MODE = ("--mode", {"choices": (MODE_1TT, MODE_4TT), "default": MODE_1TT})
+_MODE = ("--mode", {"choices": addressing.MODES, "default": addressing.MODE_1TT})
 _FILES = ("files", {"nargs": "+"})
 
 # Every command's summary, handler and arguments, each argument as the
@@ -281,14 +295,14 @@ _COMMANDS = {
         ("input", {}),
         ("--out", {"help": "artifact path (default INPUT.fbar)"}),
         _MODE,
-        ("--format", {"choices": codec.FORMATS, "default": codec.FORMAT_PAPER}),
+        ("--format", {"choices": addressing.FORMATS, "default": addressing.FORMAT_PAPER}),
         *_COMMON,
     )),
     "decompress": ("decompress an artifact", cmd_decompress, (
         ("input", {}),
         ("--out", {"help": "output path (default strips .fbar)"}),
         ("--mode", {
-            "choices": (MODE_1TT, MODE_4TT), "default": None,
+            "choices": addressing.MODES, "default": None,
             "help": "require this mode; error if the artifact disagrees",
         }),
         *_COMMON,

@@ -14,11 +14,8 @@ import time
 from collections import namedtuple
 
 from . import addressing, gridfile, metrics
+from .addressing import FORMAT_HONEST, FORMAT_PAPER, FORMATS  # re-exported
 from .gridfile import MODE_1TT, MODE_4TT, GridFormatError
-
-FORMAT_PAPER = "paper"
-FORMAT_HONEST = "honest"
-FORMATS = (FORMAT_PAPER, FORMAT_HONEST)
 
 
 class ModeMismatchError(Exception):

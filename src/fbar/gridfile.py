@@ -56,6 +56,7 @@ from itertools import cycle
 from operator import getitem
 
 from . import addressing
+from .addressing import MODE_1TT, MODE_4TT  # re-exported: defined beside the layouts
 from .transtable import OCCUPANT_ALPHABET
 
 GRID_MAGIC = b"FBGR"
@@ -66,8 +67,6 @@ BLOCK_UNITS = 95
 SEPARATOR_CODES = tuple(range(1, 32))
 TAIL_MARKER = 0x00
 
-MODE_1TT = "1tt"
-MODE_4TT = "4tt"
 _MODE_BYTES = {MODE_1TT: 1, MODE_4TT: 4}  # a mode's header byte is its rows per unit
 _MODE_NAMES = {v: k for k, v in _MODE_BYTES.items()}
 _KINDS = {GRID_MAGIC: "paper", HONEST_MAGIC: "honest"}
@@ -401,6 +400,17 @@ class _Reader:
             raise GridFormatError(f"unsupported {name} {value}", offset=self.at)
         return value
 
+    def pair_count(self):
+        """The next field, the pair count; its rows must fit in the bytes after it."""
+        count, left = self.number(), len(self.data) - self.off
+        if 2 * count > left:
+            raise GridFormatError(
+                f"pair count {count} needs {2 * count} row bytes; the artifact ends "
+                f"{left} bytes after it",
+                offset=self.at,
+            )
+        return count
+
     def tail(self):
         """The last field, the odd-byte tail (its byte, or None), which
         ends the artifact: its length is 0 or 2, the marker and the byte."""
@@ -559,15 +569,16 @@ def parse_grid(data):
     occupant stream only when it is exactly _render's output for its own
     blocks, and the region only when it is _region of the last block.
     Raises GridFormatError naming offset and block at the first defect:
-    bad magic, separator or ordinal mismatches, channel length
-    mismatches, inconsistent grid region, trailing garbage.
+    bad magic, a pair count whose rows cannot fit, separator or ordinal
+    mismatches, channel length mismatches, inconsistent grid region,
+    trailing garbage.
     """
     reader = _Reader(data, _PAPER_FIELDS, GRID_MAGIC)
     mode_byte = reader.number()
     parsed_mode = _MODE_NAMES.get(mode_byte)
     if parsed_mode is None:
         raise GridFormatError(f"unknown mode byte {mode_byte}", offset=reader.at)
-    pair_count = reader.number()
+    pair_count = reader.pair_count()
 
     region = bytes(reader.next())
     region_start = reader.at
@@ -607,7 +618,7 @@ def parse_honest(data):
     Its row stream is a read-only view of the artifact.
     """
     reader = _Reader(data, _HONEST_FIELDS, HONEST_MAGIC)
-    stream = reader.next(2 * reader.number())
+    stream = reader.next(2 * reader.pair_count())
     return ParsedHonest(stream=stream, tail=reader.tail())
 
 

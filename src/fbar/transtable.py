@@ -87,7 +87,11 @@ class TranslationTable:
 
 
 def generate_tt(layout="interleaved"):
-    """Build the canonical table: record r holds the pair stored at row r."""
+    """Build the canonical table: record r holds the pair stored at row r.
+
+    Its records are ``addressing.pair_table``'s own buffer, so verifying
+    it compares that buffer with itself.
+    """
     return TranslationTable(addressing.pair_table(layout), layout)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from fbar import addressing, pairops
+from fbar import addressing, pairops, transtable
 from fbar.addressing import (
     FlagAddress,
     address_of_pair,
@@ -123,6 +123,17 @@ def test_flat_tables_agree_with_functions():
             row = rows[key]
             assert row == row_of_pair(x, x2, layout)
             assert pairs[2 * row : 2 * row + 2] == bytes((x, x2))
+
+
+def test_pair_table_is_built_once_per_layout():
+    # Each layout's table is one buffer for the life of the process, and a
+    # generated table holds it, so verifying that table compares the
+    # buffer with itself.
+    for layout in addressing.LAYOUTS:
+        assert pair_table(layout) is pair_table(layout)
+        assert transtable.generate_tt(layout).originals is pair_table(layout)
+    with pytest.raises(ValueError, match="unknown layout"):
+        pair_table("diagonal")
 
 
 def test_f_literal_matches_the_canonical_factorization():

@@ -383,16 +383,22 @@ def test_odd_length_stream_rejected_on_write():
 
 def test_honest_errors_name_their_offset():
     # every strict prefix of a small artifact of either format, in both
-    # modes, with and without a tail, is truncated where it ends
+    # modes, with and without a tail, is truncated where it ends; one that
+    # ends before its pair count's rows could fit names the count instead
     rows = [0, 1, 2, 1, 5, 6, 7, 8, 9]
-    artifacts = [(parse_honest, honest_bytes(rows, tail)) for tail in (None, 0x41)]
-    artifacts += [(parse_grid, grid_bytes(rows, mode, tail)[0])
+    artifacts = [(parse_honest, HONEST_HEADER_LEN, honest_bytes(rows, tail))
+                 for tail in (None, 0x41)]
+    artifacts += [(parse_grid, PAPER_HEADER_LEN, grid_bytes(rows, mode, tail)[0])
                   for mode in (MODE_1TT, MODE_4TT) for tail in (None, 0x41)]
-    for parse, whole in artifacts:
+    for parse, header, whole in artifacts:
         for cut in range(len(whole)):
             with pytest.raises(GridFormatError) as err:
                 parse(whole[:cut])
-            assert "truncated" in str(err.value) and err.value.offset == cut
+            if header <= cut < header + 2 * len(rows):
+                assert "pair count 9 needs 18 row bytes" in str(err.value)
+                assert err.value.offset == header - 8
+            else:
+                assert "truncated" in str(err.value) and err.value.offset == cut
     data = honest_bytes(list(range(10)), tail=0x41)
     with pytest.raises(GridFormatError) as err:
         parse_honest(data + b"zz")
@@ -423,6 +429,31 @@ def test_header_and_tail_length_errors_name_their_offset(tail):
     with pytest.raises(GridFormatError) as err:
         parse_grid(bytes(bad))
     assert "unknown mode byte 2" in str(err.value) and err.value.offset == 5
+
+
+@pytest.mark.parametrize("tail", (None, 0x41))
+@pytest.mark.parametrize("mode", (MODE_1TT, MODE_4TT, None))  # None: the honest format
+def test_a_pair_count_whose_rows_cannot_fit_is_named_at_its_field(mode, tail):
+    # The pair count's rows must fit in the bytes after the header: a
+    # count past that is refused at its own field, 6 in a paper artifact
+    # and 5 in an honest one.  The most that fit keeps the error of the
+    # field it contradicts, if it is not the artifact's own count.
+    rows = list(range(10))
+    if mode is None:
+        parse, header, data = parse_honest, HONEST_HEADER_LEN, honest_bytes(rows, tail)
+    else:
+        parse, header, data = parse_grid, PAPER_HEADER_LEN, grid_bytes(rows, mode, tail)[0]
+    too_many = (len(data) - header) // 2 + 1  # one pair more than those bytes hold
+    for count in (too_many, 2**64 - 1):
+        forged = data[: header - 8] + count.to_bytes(8, "big") + data[header:]
+        with pytest.raises(GridFormatError, match=f"^pair count {count} needs ") as err:
+            parse(forged)
+        assert err.value.offset == header - 8
+    if too_many - 1 != len(rows):
+        forged = data[: header - 8] + (too_many - 1).to_bytes(8, "big") + data[header:]
+        with pytest.raises(GridFormatError) as err:
+            parse(forged)
+        assert "pair count" not in str(err.value) and err.value.offset >= header
 
 
 @pytest.mark.parametrize("mode", (MODE_1TT, MODE_4TT))

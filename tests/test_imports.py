@@ -2,12 +2,15 @@
 
 Each command runs in a fresh interpreter, so every module imported by
 ``fbar.cli`` is paid for on every call.  Heavy standard-library modules
-the codec never runs must stay out of the import graph.
+the codec never runs must stay out of the import graph, and a command
+loads only the fbar modules it runs: the package resolves its exports
+on first use.
 """
 
 import os
 import subprocess
 import sys
+import textwrap
 
 import fbar
 from fbar import codec, transtable
@@ -20,6 +23,12 @@ PRELUDE = (
     f"import sys; sys.path.insert(0, {IMPORT_ROOT!r}); import fbar.cli; "
     f"assert fbar.cli.__file__.startswith({IMPORT_ROOT!r}), fbar.cli.__file__; "
 )
+# The same, with a bare ``import fbar``.
+BARE_PRELUDE = (
+    f"import sys; sys.path.insert(0, {IMPORT_ROOT!r}); import fbar; "
+    f"assert fbar.__file__.startswith({IMPORT_ROOT!r}), fbar.__file__; "
+)
+SUBMODULES = ("addressing", "cli", "codec", "gridfile", "metrics", "pairops", "transtable")
 
 # dataclasses pulls in inspect and ast; fractions pulls in decimal.
 # fbar.pairops is the operator algebra: the tests' oracle for F, which no
@@ -27,18 +36,18 @@ PRELUDE = (
 NOT_IMPORTED = {"dataclasses", "typing", "inspect", "ast", "fractions", "decimal", "fbar.pairops"}
 
 
-def _child(code):
-    """The stdout of ``code`` run after PRELUDE in a fresh ``python -S``."""
+def _child(code, prelude=PRELUDE):
+    """The stdout of ``code`` run after ``prelude`` in a fresh ``python -S``."""
     child = subprocess.run(
-        [sys.executable, "-S", "-c", PRELUDE + code], capture_output=True, text=True
+        [sys.executable, "-S", "-c", prelude + code], capture_output=True, text=True
     )
     assert child.returncode == 0, child.stderr
     return child.stdout
 
 
-def _loaded_after(code):
-    """The modules a fresh ``python -S`` holds after PRELUDE and ``code``."""
-    return set(_child(code + "; print(chr(10).join(sorted(sys.modules)))").split())
+def _loaded_after(code, prelude=PRELUDE):
+    """The modules a fresh ``python -S`` holds after ``prelude`` and ``code``."""
+    return set(_child(code + "; print(chr(10).join(sorted(sys.modules)))", prelude).split())
 
 
 def test_cli_import_graph_stays_light():
@@ -113,3 +122,41 @@ def test_decompress_and_honest_compress_leave_render_pieces_unbuilt(tmp_path):
     )
     assert (tmp_path / "out.bin").read_bytes() == small.read_bytes()
     assert (tmp_path / "paper.fbar").read_bytes() == paper.read_bytes()
+
+
+def test_bare_import_loads_no_submodule():
+    loaded = _loaded_after("pass", BARE_PRELUDE)
+    assert "fbar" in loaded
+    assert {name for name in loaded if name.startswith("fbar.")} == set()
+
+
+def test_table_commands_load_only_what_they_run(tmp_path):
+    # gen-tt runs the table modules alone; audit runs no codec.
+    tables = tmp_path / "tt"
+    not_gen_tt = {"fbar.codec", "fbar.gridfile", "fbar.metrics", "array"}
+    for argv, absent in (
+        (["gen-tt", "--out", str(tables), "--format", "binary"], not_gen_tt),
+        (["gen-tt", "--out", str(tables / "text"), "--format", "text"], not_gen_tt),
+        (["audit", "--tt", str(tables / "tt1.bin")], {"fbar.codec"}),
+    ):
+        loaded = _loaded_after(f"assert fbar.cli.main({argv!r}) == fbar.cli.EXIT_OK")
+        assert absent & loaded == set(), argv
+
+
+def test_exports_resolve_to_their_modules_objects():
+    # Read through the package first, each name and module is the very
+    # object its defining module holds, and every submodule that names
+    # it holds the same one.
+    _child(textwrap.dedent(f"""
+        import importlib
+        exports = {{name: getattr(fbar, name) for name in fbar.__all__}}
+        modules = {{name: getattr(fbar, name) for name in {SUBMODULES!r}}}
+        assert set(fbar.__all__) | set(modules) <= set(dir(fbar))
+        for name, module in modules.items():
+            assert module is importlib.import_module("fbar." + name), name
+        for name, value in exports.items():
+            holders = [m for m in modules.values() if hasattr(m, name)]
+            assert holders and all(getattr(m, name) is value for m in holders), name
+            if callable(value):  # a class or a function: it names its module
+                assert getattr(sys.modules[value.__module__], name) is value, name
+    """), BARE_PRELUDE)
