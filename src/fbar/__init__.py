@@ -32,32 +32,7 @@ _SUBMODULES = ("addressing", "cli", "codec", "gridfile", "metrics", "pairops", "
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CompressJob",
-    "CompressResult",
-    "DecompressJob",
-    "FORMAT_HONEST",
-    "FORMAT_PAPER",
-    "GridFormatError",
-    "MetricsReport",
-    "MODE_1TT",
-    "MODE_4TT",
-    "ModeMismatchError",
-    "TranslationTable",
-    "TtError",
-    "TtFormatError",
-    "TtSet4",
-    "compress",
-    "decompress",
-    "generate_tt",
-    "load_binary",
-    "paper_size",
-    "pigeonhole_audit",
-    "roundtrip",
-    "serialize_binary",
-    "serialize_text",
-    "verify_tt",
-]
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name):

@@ -72,6 +72,19 @@ def _check_layout(layout):
         raise ValueError(f"unknown layout {layout!r}; expected one of {LAYOUTS}")
 
 
+def first_difference(got, want, start=0):
+    """Index of the first byte at or after ``start`` where two byte strings
+    differ, found by halving; the shorter length when they agree up to it."""
+    lo, hi = start, min(len(got), len(want))  # got[start:lo] == want[start:lo]; it is <= hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if got[lo : mid + 1] == want[lo : mid + 1]:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def address_of_pair(x, x2, layout="interleaved"):
     """4D flag address of a 2-byte pair: the nibbles of F[x] and F[x2], 1-based."""
     _check_layout(layout)

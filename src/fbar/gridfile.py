@@ -527,21 +527,9 @@ def _occupant_blocks(occupant, base_offset):
     raise _occupant_mismatch(occupant, _render(bytes(sizes).translate(_CLAMPED)), base_offset)
 
 
-def _first_difference(got, want):
-    """Index of the first byte where two unequal byte strings differ, found by halving."""
-    lo, hi = 0, min(len(got), len(want))  # got[:lo] == want[:lo]; it is at most hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if got[lo : mid + 1] == want[lo : mid + 1]:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
 def _occupant_mismatch(got, want, base_offset):
     """The error for an occupant stream that differs from its rendering."""
-    i = _first_difference(got, want)
+    i = addressing.first_difference(got, want)
     if i == len(got):
         what = f"missing separator code {want[i]} after a full final block"
     elif i == len(want):
@@ -599,7 +587,7 @@ def parse_grid(data):
 
     want_region = _region(address, parsed_mode, units_seen - last, last)
     if region != want_region:
-        slot = _first_difference(region, want_region)
+        slot = addressing.first_difference(region, want_region)
         raise GridFormatError(
             f"grid region inconsistent with channels: slot {slot} holds "
             f"{region[slot]:#04x}, {want_region[slot]:#04x} expected",

@@ -23,9 +23,6 @@ ACCOUNTED_BLOCK_PAIRS = 96
 
 MODE_RATIO_H = {gridfile.MODE_1TT: 2, gridfile.MODE_4TT: 0}  # 8:4 and 8:1
 
-# Violations a pigeonhole audit names at most.
-AUDIT_MAX_VIOLATIONS = 16
-
 
 def paper_size(n_bytes, mode):
     """Nominal compressed size in bytes for an n-byte input."""
@@ -246,15 +243,16 @@ def pigeonhole_audit(tt):
     left inverse is injective, so the rows are distinct and the chain is
     a bijection.  The second, ``transtable.verify_tt``, compares the
     table's records with that inverse, so every record returns the pair
-    that produced its row; the audit keeps its first
-    ``AUDIT_MAX_VIOLATIONS`` violations.  A concrete witness shows that
-    the occupant-only channel cannot distinguish distinct inputs.
+    that produced its row; it names at most the first 16 rows that
+    differ (``transtable.MAX_VIOLATIONS``), and the audit keeps them.  A
+    concrete witness shows that the occupant-only channel cannot
+    distinguish distinct inputs.
     """
     layout = tt.layout
     rows = addressing.encode_stream(addressing.ALL_ROWS, layout)
     chain_ok = addressing.decode_stream(rows, layout) == addressing.ALL_ROWS
     distinct = addressing.ROWS if chain_ok else len(set(memoryview(rows).cast("H")))
-    violations = transtable.verify_tt(tt).violations[:AUDIT_MAX_VIOLATIONS]
+    violations = transtable.verify_tt(tt).violations
 
     witness_a, witness_b = b"aa", b"bb"
     stream_a = _occupant_only(addressing.encode_stream(witness_a, layout))

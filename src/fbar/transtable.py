@@ -95,7 +95,14 @@ def generate_tt(layout="interleaved"):
     return TranslationTable(addressing.pair_table(layout), layout)
 
 
+# Rows verify_tt names at most: ensure_verified reads the first, the
+# pigeonhole audit keeps them all and ``fbar audit`` prints 8.
+MAX_VIOLATIONS = 16
+
+
 class TtVerifyReport:
+    """The first ``MAX_VIOLATIONS`` rows whose record differs, in row order."""
+
     def __init__(self, violations=None):
         # (row, message); each report gets its own list
         self.violations = [] if violations is None else violations
@@ -106,27 +113,26 @@ class TtVerifyReport:
 
 
 def verify_tt(tt):
-    """Name each row whose record differs from ``addressing.pair_table``.
+    """Name the first ``MAX_VIOLATIONS`` rows whose record differs from
+    ``addressing.pair_table``, in row order.
 
-    A canonical table passes with one whole-buffer comparison; a table
-    that differs is compared 256 rows at a time, and only the chunks that
-    differ are walked.  A pair stored twice always sits at a row where it
-    does not belong, so it is named too.
+    A canonical table passes with one whole-buffer comparison; in a table
+    that differs, each row named is found by halving from the row after
+    the last one, so a table that differs everywhere costs no more than
+    one that differs in 16 rows.  A pair stored twice always sits at a
+    row where it does not belong, so it is named too.
     """
     report = TtVerifyReport()
     expected = addressing.pair_table(tt.layout)
     originals = tt.originals
     if originals == expected:
         return report
-    for at in range(0, 2 * TT_ROWS, 512):
-        if originals[at : at + 512] != expected[at : at + 512]:
-            for row in range(at // 2, at // 2 + 256):
-                got = originals[2 * row : 2 * row + 2]
-                want = expected[2 * row : 2 * row + 2]
-                if got != want:
-                    report.violations.append(
-                        (row, f"row {row} holds {got.hex()}, expected {want.hex()}")
-                    )
+    at = addressing.first_difference(originals, expected)
+    while at < len(expected) and len(report.violations) < MAX_VIOLATIONS:
+        row = at // 2
+        got, want = originals[2 * row : 2 * row + 2], expected[2 * row : 2 * row + 2]
+        report.violations.append((row, f"row {row} holds {got.hex()}, expected {want.hex()}"))
+        at = addressing.first_difference(originals, expected, 2 * row + 2)
     return report
 
 
@@ -259,7 +265,9 @@ def load_binary(source, layout="interleaved"):
     """Exact inverse of serialize_binary.
 
     Addresses are recomputed from row numbers, never stored.  The 65,536
-    records must be in row order and are sliced out whole.  Raises
+    records must be in row order: their row and pair columns are sliced
+    out whole, and a row column that differs from ``addressing.ALL_ROWS``
+    names its first misplaced record by halving.  Raises
     TtFormatError naming the offending offset on bad magic, truncation,
     a wrong record count, or the first record out of row order.
     """
@@ -278,16 +286,15 @@ def load_binary(source, layout="interleaved"):
     count = body // _RECORD_BYTES
     if count != TT_ROWS:
         raise TtFormatError(f"row count {count}, expected {TT_ROWS}", offset=len(data))
-    rows = addressing.ALL_ROWS
-    if data[5::4] != rows[0::2] or data[6::4] != rows[1::2]:
-        for n in range(TT_ROWS):
-            off = 5 + n * _RECORD_BYTES
-            row = int.from_bytes(data[off : off + 2], "big")
-            if row != n:
-                raise TtFormatError(f"record {n} holds row {row}, expected row {n}", offset=off)
-    originals = bytearray(2 * TT_ROWS)
-    originals[0::2] = data[7::4]
-    originals[1::2] = data[8::4]
+    rows, originals = bytearray(2 * TT_ROWS), bytearray(2 * TT_ROWS)
+    rows[0::2], rows[1::2] = data[5::4], data[6::4]
+    originals[0::2], originals[1::2] = data[7::4], data[8::4]
+    if rows != addressing.ALL_ROWS:
+        n = addressing.first_difference(rows, addressing.ALL_ROWS) // 2
+        row = int.from_bytes(rows[2 * n : 2 * n + 2], "big")
+        raise TtFormatError(
+            f"record {n} holds row {row}, expected row {n}", offset=5 + n * _RECORD_BYTES
+        )
     return TranslationTable(originals, layout)
 
 

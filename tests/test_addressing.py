@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fbar import addressing, pairops, transtable
@@ -148,3 +150,27 @@ def test_f_literal_matches_the_canonical_factorization():
         assert address_of_pair(b, b) == (ip, zn, ip, zn)
         assert pair_of_row(row_of_address((ip, zn, ip, zn))) == (b, b)
     assert len(addressing._F) == len(addressing._F_INV) == 256
+
+
+def first_difference_walk(got, want, start):
+    """The first differing index from ``start`` by a walk in Python: the reference."""
+    pairs = enumerate(zip(got, want))
+    return next((i for i, (a, b) in pairs if i >= start and a != b), min(len(got), len(want)))
+
+
+def test_first_difference_matches_a_walk():
+    rng = random.Random(12)
+    for _ in range(3000):
+        got = rng.randbytes(rng.randint(1, 300))
+        case = rng.choice(("changed", "prefix", "first", "last"))
+        if case == "prefix":
+            want = bytearray(got[: rng.randrange(len(got))])
+        else:
+            want = bytearray(got)
+            spots = {"first": [0], "last": [len(got) - 1]}.get(case)
+            for at in spots or rng.sample(range(len(got)), min(len(got), rng.randint(1, 3))):
+                want[at] ^= rng.randint(1, 255)
+        start = rng.randint(0, len(want))
+        for a, b in ((got, want), (want, got)):
+            found = addressing.first_difference(a, b, start)
+            assert found == first_difference_walk(a, b, start), (case, start, a, b)

@@ -186,7 +186,8 @@ def test_audit_ok(tt_file, capsys, no_tt_env):
 
 
 def test_audit_mutated_table(tmp_path, tt_file, capsys, no_tt_env):
-    data = bytearray(open(tt_file, "rb").read())
+    with open(tt_file, "rb") as f:
+        data = bytearray(f.read())
     row = 100
     data[5 + 4 * row + 2] ^= 0x20  # flip a bit inside the original pair
     bad = tmp_path / "bad.bin"

@@ -1017,24 +1017,3 @@ def test_canonical_check_agrees_past_255_chars_in_a_block():
                      gridfile._render([1] * 40) + b"\x09" + b"b" * 256):
         assert_same_verdict(occupant)
 
-
-def first_difference_walk(got, want):
-    """The first differing index by a walk in Python: the reference."""
-    pairs = enumerate(zip(got, want))
-    return next((i for i, (a, b) in pairs if a != b), min(len(got), len(want)))
-
-
-def test_first_difference_matches_a_walk():
-    rng = random.Random(12)
-    for _ in range(3000):
-        got = rng.randbytes(rng.randint(1, 300))
-        case = rng.choice(("changed", "prefix", "first", "last"))
-        if case == "prefix":
-            want = bytearray(got[: rng.randrange(len(got))])
-        else:
-            want = bytearray(got)
-            spots = {"first": [0], "last": [len(got) - 1]}.get(case)
-            for at in spots or rng.sample(range(len(got)), min(len(got), rng.randint(1, 3))):
-                want[at] ^= rng.randint(1, 255)
-        for a, b in ((got, want), (want, got)):
-            assert gridfile._first_difference(a, b) == first_difference_walk(a, b), (case, a, b)

@@ -160,3 +160,13 @@ def test_exports_resolve_to_their_modules_objects():
             if callable(value):  # a class or a function: it names its module
                 assert getattr(sys.modules[value.__module__], name) is value, name
     """), BARE_PRELUDE)
+
+
+def test_public_names_are_pinned():
+    assert set(fbar.__all__) == {
+        "CompressJob", "CompressResult", "DecompressJob", "FORMAT_HONEST", "FORMAT_PAPER",
+        "GridFormatError", "MODE_1TT", "MODE_4TT", "MetricsReport", "ModeMismatchError",
+        "TranslationTable", "TtError", "TtFormatError", "TtSet4", "compress", "decompress",
+        "generate_tt", "load_binary", "paper_size", "pigeonhole_audit", "roundtrip",
+        "serialize_binary", "serialize_text", "verify_tt",
+    }

@@ -225,6 +225,25 @@ def test_verify_and_audit_name_the_changed_rows(tt, tt_grouped, flips, layout):
     assert verified == audited == changed
 
 
+def test_mislabelled_table_names_its_first_16_rows(tt_grouped):
+    # The grouped table read as interleaved differs from the canonical
+    # table in 61,440 rows; verification and the audit name the first 16.
+    table = transtable.TranslationTable(tt_grouped.originals, "interleaved")
+    got, want = table.originals, addressing.pair_table("interleaved")
+    changed = [
+        (row, f"row {row} holds {got[2 * row : 2 * row + 2].hex()}, "
+              f"expected {want[2 * row : 2 * row + 2].hex()}")
+        for row in range(65536) if got[2 * row : 2 * row + 2] != want[2 * row : 2 * row + 2]
+    ]
+    assert len(changed) == 61440
+    violations = transtable.verify_tt(table).violations
+    assert violations == changed[:16]
+    with pytest.raises(transtable.TtError) as err:
+        table.ensure_verified()
+    assert str(err.value) == f"table failed verification: {changed[0][1]}"
+    assert pigeonhole_audit(table).violations == violations
+
+
 def test_audit_reports_a_broken_chain(tt, monkeypatch):
     encode_stream = addressing.encode_stream
 

@@ -107,7 +107,7 @@ def test_verify_corrupt_record_names_row(tt):
 
 
 def test_verify_names_rows_on_both_sides_of_chunk_edges(tt):
-    # verify_tt compares the table 256 rows at a time
+    # rows at both ends of the table and of a 256-row span, named in row order
     rows = [0, 255, 256, 511, 65280, 65535]
     buf = bytearray(tt.originals)
     for row in rows:
@@ -248,13 +248,15 @@ def test_binary_short_row_count(tt):
 def test_binary_duplicate_row(tt):
     sink = io.BytesIO()
     serialize_binary(tt, sink)
-    data = bytearray(sink.getvalue())
-    # rewrite the second record's row number to 0
-    data[5 + 4 : 5 + 6] = (0).to_bytes(2, "big")
-    with pytest.raises(TtFormatError) as err:
-        load_binary(io.BytesIO(bytes(data)))
-    assert err.value.offset == 5 + 4
-    assert "record 1 holds row 0, expected row 1" in str(err.value)
+    # (record, the row it is rewritten to hold, the record's offset): the
+    # second record and the last, each given a row an earlier record holds
+    for record, row, offset in ((1, 0, 9), (65535, 65279, 262145)):
+        data = bytearray(sink.getvalue())
+        data[offset : offset + 2] = row.to_bytes(2, "big")
+        with pytest.raises(TtFormatError) as err:
+            load_binary(io.BytesIO(bytes(data)))
+        assert err.value.offset == offset
+        assert f"record {record} holds row {row}, expected row {record}" in str(err.value)
 
 
 def test_binary_records_out_of_order_load(tt):
