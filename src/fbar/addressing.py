@@ -168,8 +168,8 @@ def encode_stream(data, layout="interleaved"):
 
 
 def decode_stream(stream, layout="interleaved", tail=None):
-    """Pairs of a row stream, then ``tail``, the odd last byte, when given;
-    exact inverse of encode_stream.
+    """Pairs of a row stream, any buffer read as its bytes, then ``tail``,
+    the odd last byte, when given; exact inverse of encode_stream.
 
     The tail joins the regrouped rows as its image under F, so one join
     and one translate through F's inverse build the whole output.
@@ -177,6 +177,7 @@ def decode_stream(stream, layout="interleaved", tail=None):
     if tail is not None and not 0 <= tail <= 255:
         raise ValueError(f"not a tail byte: {tail!r}")
     tail = b"" if tail is None else _F[tail : tail + 1]
+    stream = memoryview(stream).cast("B")
     return b"".join((_regroup(stream, layout), tail)).translate(_F_INV)
 
 

@@ -103,7 +103,7 @@ def decompress(job: DecompressJob) -> bytes:
     if kind is None:
         magic = artifact[: len(gridfile.GRID_MAGIC)]
         raise GridFormatError(f"unrecognized artifact magic {magic!r}", offset=0)
-    if kind == "paper":
+    if kind == FORMAT_PAPER:
         parsed = gridfile.parse_grid(artifact)
         if job.mode is not None and parsed.mode != job.mode:
             raise ModeMismatchError(

@@ -69,7 +69,7 @@ TAIL_MARKER = 0x00
 
 _MODE_BYTES = {MODE_1TT: 1, MODE_4TT: 4}  # a mode's header byte is its rows per unit
 _MODE_NAMES = {v: k for k, v in _MODE_BYTES.items()}
-_KINDS = {GRID_MAGIC: "paper", HONEST_MAGIC: "honest"}
+_KINDS = {GRID_MAGIC: addressing.FORMAT_PAPER, HONEST_MAGIC: addressing.FORMAT_HONEST}
 
 
 class _Channel(int):
@@ -187,8 +187,10 @@ class GridArtifact(namedtuple(
 
 # stream: the row stream; tail: the odd last byte, or None.
 ParsedHonest = namedtuple("ParsedHonest", "stream tail")
+ParsedHonest.__repr__ = _sized_repr
 # block_count: the number of blocks in the occupant stream.
 ParsedGrid = namedtuple("ParsedGrid", "stream tail mode block_count")
+ParsedGrid.__repr__ = _sized_repr
 
 
 def _tail_bytes(tail):

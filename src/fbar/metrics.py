@@ -11,7 +11,7 @@ Two accountings are kept strictly apart and both are always reported:
 """
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 
 from . import addressing, gridfile, transtable
 
@@ -216,17 +216,10 @@ class MetricsReport:
 build_report = MetricsReport
 
 
-class AuditReport:
-    def __init__(
-        self, bijection_ok, distinct_rows, violations=None, collision_witness=None,
-        channel_bits=None,
-    ):
-        self.bijection_ok = bijection_ok
-        self.distinct_rows = distinct_rows
-        # (row, message); each report gets its own list
-        self.violations = [] if violations is None else violations
-        self.collision_witness = collision_witness  # (input_a, input_b, shared stream)
-        self.channel_bits = {} if channel_bits is None else channel_bits
+# violations: verify_tt's (row, message) pairs; collision_witness: (a, b, stream) or None.
+AuditReport = namedtuple(
+    "AuditReport", "bijection_ok distinct_rows violations collision_witness channel_bits"
+)
 
 
 def _occupant_only(stream):

@@ -7,6 +7,8 @@ compact binary form with a magic header and its records in row order.
 A table's records are immutable after construction and safe to share.
 """
 
+from collections import namedtuple
+
 from . import addressing
 
 TT_ROWS = addressing.ROWS
@@ -50,18 +52,18 @@ class TtFormatError(TtError):
 class TranslationTable:
     """Row -> original-pair dictionary of exactly 65,536 immutable records.
 
-    ``layout`` is a plain attribute; a table relabelled with another
-    layout is verified again before it codes anything.
+    It passes verification by holding ``addressing.pair_table(layout)``
+    itself; ``layout`` is a plain attribute, so a relabelled table is
+    verified again before it codes anything.
     """
 
     row_count = TT_ROWS
 
     def __init__(self, originals, layout="interleaved"):
+        self._originals = originals = bytes(originals)  # itself when it is bytes
         if len(originals) != 2 * TT_ROWS:
             raise TtError(f"originals buffer of {len(originals)} bytes, expected {2 * TT_ROWS}")
-        self._originals = bytes(originals)
         self.layout = layout
-        self._verified_layout = None  # the layout the records last passed under
 
     @property
     def originals(self):
@@ -78,19 +80,21 @@ class TranslationTable:
         return f"{type(self).__name__}(rows={self.row_count}, layout={self.layout!r})"
 
     def ensure_verified(self):
-        """Verify once per layout and cache; raises TtError on any violation."""
-        if self._verified_layout != self.layout:
+        """Pass a table that holds its layout's pair table, else verify it and
+        hold that pair table in place of the equal records; raises TtError."""
+        canonical = addressing.pair_table(self.layout)
+        if self._originals is not canonical:
             report = verify_tt(self)
             if not report.ok:
                 raise TtError(f"table failed verification: {report.violations[0][1]}")
-            self._verified_layout = self.layout
+            self._originals = canonical
 
 
 def generate_tt(layout="interleaved"):
     """Build the canonical table: record r holds the pair stored at row r.
 
-    Its records are ``addressing.pair_table``'s own buffer, so verifying
-    it compares that buffer with itself.
+    Its records are ``addressing.pair_table``'s own buffer, so it is
+    verified from the start.
     """
     return TranslationTable(addressing.pair_table(layout), layout)
 
@@ -100,12 +104,10 @@ def generate_tt(layout="interleaved"):
 MAX_VIOLATIONS = 16
 
 
-class TtVerifyReport:
-    """The first ``MAX_VIOLATIONS`` rows whose record differs, in row order."""
+class TtVerifyReport(namedtuple("TtVerifyReport", "violations")):
+    """(row, message) of the first ``MAX_VIOLATIONS`` rows whose record differs."""
 
-    def __init__(self, violations=None):
-        # (row, message); each report gets its own list
-        self.violations = [] if violations is None else violations
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -122,18 +124,18 @@ def verify_tt(tt):
     one that differs in 16 rows.  A pair stored twice always sits at a
     row where it does not belong, so it is named too.
     """
-    report = TtVerifyReport()
+    violations = []
     expected = addressing.pair_table(tt.layout)
     originals = tt.originals
     if originals == expected:
-        return report
+        return TtVerifyReport(violations)
     at = addressing.first_difference(originals, expected)
-    while at < len(expected) and len(report.violations) < MAX_VIOLATIONS:
+    while at < len(expected) and len(violations) < MAX_VIOLATIONS:
         row = at // 2
         got, want = originals[2 * row : 2 * row + 2], expected[2 * row : 2 * row + 2]
-        report.violations.append((row, f"row {row} holds {got.hex()}, expected {want.hex()}"))
+        violations.append((row, f"row {row} holds {got.hex()}, expected {want.hex()}"))
         at = addressing.first_difference(originals, expected, 2 * row + 2)
-    return report
+    return TtVerifyReport(violations)
 
 
 # The text form is written _TEXT_CHUNK_ROWS lines per ``sink.write``:
@@ -301,9 +303,9 @@ def load_binary(source, layout="interleaved"):
 class TtSet4(TranslationTable):
     """The 4-TT mode's table: four copies of one table, which it then is.
 
-    The four tables must be equal; the set is their one mapping and keeps
-    the first table's verification, so a verified table is not verified
-    again.
+    The four tables must be equal; the set is their one mapping and holds
+    the first table's records, so a set of verified tables holds the
+    canonical pair table and is not verified again.
     """
 
     def __init__(self, tables):
@@ -314,7 +316,6 @@ class TtSet4(TranslationTable):
         if not all(t == first for t in tables[1:]):
             raise TtError("the 4 tables of a set must be identical")
         super().__init__(first.originals, first.layout)
-        self._verified_layout = first._verified_layout
 
     @classmethod
     def canonical(cls, layout="interleaved"):

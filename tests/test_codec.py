@@ -294,6 +294,9 @@ def test_job_reprs_name_sizes_not_bytes(fmt, tt):
         # still a namedtuple: fields, defaults and _replace
         assert type(job._replace(tables=None)) is type(job)
         assert job._replace(tables=None) == (job[0], None, *job[2:])
+    parse = gridfile.parse_grid if fmt == FORMAT_PAPER else gridfile.parse_honest
+    parsed = parse(artifact)
+    assert repr(parsed).startswith(f"{type(parsed).__name__}(stream=<{len(data)} bytes>, tail=None")
     assert repr(CompressJob(array("H", [1, 2, 3]), tt)).startswith("CompressJob(data=<6 bytes>, ")
 
 

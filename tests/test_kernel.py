@@ -1,5 +1,7 @@
 """Differential tests: the byte-permutation kernel against the scalar functions."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -51,12 +53,15 @@ def test_kernel_round_trip(data, layout):
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_kernel_accepts_any_buffer(layout):
-    data = bytes(range(256)) * 3 + b"!"
+    data = bytes(range(256)) * 3 + b"ab!"  # 385 pairs and a tail
     stream = encode_stream(data, layout)
-    for buf in (bytearray(data), memoryview(data)):
+    pairs = data[:-1]
+    typed = (array("H", pairs), memoryview(pairs).cast("H"))
+    for buf in (bytearray(data), memoryview(data), *typed):
         assert encode_stream(buf, layout) == stream
-    for buf in (bytearray(stream), memoryview(stream)):
-        assert decode_stream(buf, layout) == data[:-1]
+    typed = (array("H", bytes(stream)), memoryview(stream).cast("H"))
+    for buf in (bytearray(stream), memoryview(stream), *typed):
+        assert decode_stream(buf, layout) == pairs
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)

@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 
 from fbar import addressing, metrics, transtable
 from fbar.metrics import (
-    AuditReport,
     empirical_entropy,
     fbar_H,
     manipulation_distance,
@@ -288,9 +287,10 @@ def test_report_derives_its_nominal_figures():
             setattr(report, name, 0)
 
 
-def test_audit_reports_never_share_defaults():
-    a, b = AuditReport(True, 65536), AuditReport(True, 65536)
-    a.violations.append((0, "row 0"))
-    a.channel_bits["address_bits_per_pair"] = 16
-    assert b.violations == [] and b.channel_bits == {}
-    assert b.collision_witness is None
+def test_audit_report_repr_names_its_fields(tt):
+    text = repr(pigeonhole_audit(tt))
+    assert text.startswith(
+        "AuditReport(bijection_ok=True, distinct_rows=65536, violations=[], collision_witness="
+    )
+    assert text.endswith("channel_bits={'occupant_bits_per_pair': 8, "
+                         "'address_bits_per_pair': 16, 'grid_region_bits': 524288})")

@@ -1,6 +1,7 @@
 import io
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -83,17 +84,22 @@ def test_verify_swapped_rows_two_violations(tt):
     assert {v[0] for v in report.violations} == {a, b}
 
 
-def test_verify_reports_never_share_violations():
-    a, b = TtVerifyReport(), TtVerifyReport()
-    a.violations.append((None, "row count"))
-    assert b.violations == [] and b.ok
-
-
 @pytest.mark.parametrize("size", [0, 2 * TT_ROWS - 2, 2 * TT_ROWS - 1, 2 * TT_ROWS + 2])
 def test_table_of_other_size_refused(tt, size):
     originals = (tt.originals * 2)[:size]
     with pytest.raises(TtError, match=f"buffer of {size} bytes"):
         TranslationTable(originals)
+
+
+def test_typed_buffer_is_measured_in_bytes(tt):
+    # an array's length counts items: 131,072 of them are 262,144 bytes
+    with pytest.raises(TtError, match=f"buffer of {4 * TT_ROWS} bytes"):
+        TranslationTable(array("H", bytes(4 * TT_ROWS)))
+    table = TranslationTable(array("H", tt.originals))
+    assert table.originals == tt.originals
+    table.ensure_verified()
+    sink = io.BytesIO()
+    assert serialize_binary(table, sink) == len(sink.getvalue())
 
 
 def test_verify_corrupt_record_names_row(tt):
@@ -328,8 +334,6 @@ def test_ttset4_rejects_unequal_tables(tt, tt_grouped):
 
 
 def test_ttset4_keeps_verification(monkeypatch):
-    tt = generate_tt()
-    tt.ensure_verified()
     calls = []
 
     def counting_verify(table):
@@ -337,13 +341,25 @@ def test_ttset4_keeps_verification(monkeypatch):
         return verify_tt(table)
 
     monkeypatch.setattr(transtable, "verify_tt", counting_verify)
+    tt = generate_tt()
+    tt.ensure_verified()  # it holds the pair table from the start
     TtSet4((tt, tt, tt, tt)).ensure_verified()
     assert calls == []
-    unverified = generate_tt()
-    set4 = TtSet4((unverified,) * 4)
+    sink = io.BytesIO()
+    serialize_binary(tt, sink)
+    set4 = TtSet4(load_binary(io.BytesIO(sink.getvalue())) for _ in range(4))
+    assert set4.originals is not addressing.pair_table(set4.layout)
     set4.ensure_verified()
     set4.ensure_verified()
     assert len(calls) == 1 and calls[0] is set4
+    assert set4.originals is addressing.pair_table(set4.layout)
+
+
+def test_verify_report_repr_names_its_field(tt):
+    assert repr(verify_tt(tt)) == "TtVerifyReport(violations=[])"
+    report = verify_tt(TranslationTable(bytes(2 * TT_ROWS)))
+    assert isinstance(report, TtVerifyReport) and not report.ok
+    assert repr(report).startswith("TtVerifyReport(violations=[(0, 'row 0 holds 0000, expected ")
 
 
 def test_grouped_layout_table_verifies(tt_grouped):
