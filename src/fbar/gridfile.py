@@ -1,10 +1,12 @@
 """Grid artifact serialization: the compressed file formats.
 
 _PAPER_FIELDS (magic FBGR) and _HONEST_FIELDS (magic FBHN) declare the
-two formats field by field, for one packer (_pack) and one reader
-(_Reader).  The paper format's occupant stream is the nominally
-accounted payload; its address channel is what actually makes the
-artifact decodable and is reported as the honest payload, never hidden.
+two formats field by field, in one registry keyed by magic and version
+(_FORMATS), for one packer (_pack) and one walker (_fields), which the
+parsers and the tests share.  The paper format's occupant stream is the
+nominally accounted payload; its address channel is what actually makes
+the artifact decodable and is reported as the honest payload, never
+hidden.
 The honest format holds the row stream and the tail, nothing else, and
 decodes with a translation table alone.
 
@@ -76,22 +78,28 @@ class _Channel(int):
     """A channel's size: the width of the length written before its bytes."""
 
 
+class _Rows(_Channel):
+    """A channel of the rows: its bytes are twice the pair count."""
+
+
 # Each format's fields in file order: (name, size).  A field of plain int
 # size is that many bytes: the magic, a big-endian number or the grid
 # region.  A channel is its bytes behind a big-endian length that size
-# wide; the row stream's is not written (size 0), it is twice the pair count.
+# wide; the row stream's is not written (size 0).  Every format starts
+# with its magic and version, which pick its table in _FORMATS.
 _PAPER_FIELDS = (
     ("magic", 4), ("version", 1), ("mode", 1), ("pair count", 8),
     ("grid region", GRID_REGION_BYTES),
     ("occupant stream", _Channel(8)),
-    ("address channel", _Channel(8)),
+    ("address channel", _Rows(8)),
     ("tail", _Channel(1)),
 )
 _HONEST_FIELDS = (
     ("magic", 4), ("version", 1), ("pair count", 8),
-    ("row stream", _Channel(0)),
+    ("row stream", _Rows(0)),
     ("tail", _Channel(1)),
 )
+_FORMATS = {(GRID_MAGIC, VERSION): _PAPER_FIELDS, (HONEST_MAGIC, VERSION): _HONEST_FIELDS}
 HONEST_OVERHEAD = sum(size for _, size in _HONEST_FIELDS)
 
 _SEPARATORS = [bytes((code,)) for code in SEPARATOR_CODES]
@@ -363,69 +371,56 @@ def write_honest(stream, tail=None):
                                   _tail_bytes(tail)))
 
 
-class _Reader:
-    """One artifact's fields in its format's table order, magic and version
-    checked on entry, each checked whole and read as a memoryview slice of a
-    bytes snapshot; ``at`` is the last field's offset, after any length."""
+def _fields(data, magic):
+    """Each field of an artifact after its version, in file order, as
+    (name, offset, bytes): read-only slices of one bytes snapshot of
+    ``data``, a channel's offset being the one after its length.
 
-    def __init__(self, data, fields, magic):
-        self.data, self.fields, self.off = memoryview(bytes(data)), iter(fields), 0
-        found = bytes(self.next())
-        if found != magic:
-            raise GridFormatError(f"bad magic {found!r}", offset=self.at)
-        self.number(VERSION)
+    The magic must be ``magic``, and (magic, version) a key of _FORMATS.
+    Each field is checked whole before it is yielded, so a consumer's
+    check of one field precedes those of the fields after it: none is
+    truncated, the pair count's rows fit in the bytes after it, a channel
+    of rows holds twice the pair count, and the tail, of 0 or 2 bytes
+    (the marker, then the odd byte), ends the artifact.
+    """
+    data = memoryview(bytes(data))
+    end = len(data)
 
-    def _take(self, n, what):
-        if len(self.data) - self.off < n:
-            raise GridFormatError(f"truncated in {what}", offset=len(self.data))
-        self.at, self.off = self.off, self.off + n
-        return self.data[self.at : self.off]
+    def take(at, size, what):
+        if end - at < size:
+            raise GridFormatError(f"truncated in {what}", offset=end)
+        return data[at : at + size]
 
-    def next(self, expected=None):
-        """The next field's bytes.  A channel's written length must be
-        ``expected`` when given; an unwritten one is ``expected``."""
-        name, size = next(self.fields)
-        if not isinstance(size, _Channel):
-            return self._take(size, name)
-        length = int.from_bytes(self._take(size, f"{name} length"), "big") if size else expected
-        if expected is not None and length != expected:
-            raise GridFormatError(
-                f"{name} length {length} does not match {expected}", offset=self.off
-            )
-        return self._take(length, name)
-
-    def number(self, expected=None):
-        """The next field, a big-endian number; it must be ``expected`` when given."""
-        name, size = next(self.fields)
-        value = int.from_bytes(self._take(size, name), "big")
-        if expected is not None and value != expected:
-            raise GridFormatError(f"unsupported {name} {value}", offset=self.at)
-        return value
-
-    def pair_count(self):
-        """The next field, the pair count; its rows must fit in the bytes after it."""
-        count, left = self.number(), len(self.data) - self.off
-        if 2 * count > left:
-            raise GridFormatError(
-                f"pair count {count} needs {2 * count} row bytes; the artifact ends "
-                f"{left} bytes after it",
-                offset=self.at,
-            )
-        return count
-
-    def tail(self):
-        """The last field, the odd-byte tail (its byte, or None), which
-        ends the artifact: its length is 0 or 2, the marker and the byte."""
-        name, size = next(self.fields)
-        tail_len = int.from_bytes(self._take(size, f"{name} length"), "big")
-        if tail_len not in (0, 2):
-            raise GridFormatError(f"bad tail length {tail_len}", offset=self.at)
-        tail = self._take(tail_len, name)
-        if tail and tail[0] != TAIL_MARKER:
-            raise GridFormatError(f"bad tail marker {tail[0]:#04x}", offset=self.at)
-        if self.off != len(self.data):
-            raise GridFormatError("trailing garbage after tail", offset=self.off)
-        return tail[1] if tail else None
+    found = bytes(take(0, len(magic), "magic"))
+    if found != magic:
+        raise GridFormatError(f"bad magic {found!r}", offset=0)
+    version = take(len(magic), 1, "version")[0]
+    fields = _FORMATS.get((magic, version))
+    if fields is None:
+        raise GridFormatError(f"unsupported version {version}", offset=len(magic))
+    at = len(magic) + 1
+    for name, size in fields[2:]:
+        if isinstance(size, _Channel):
+            length = int.from_bytes(take(at, size, f"{name} length"), "big") if size else 2 * pairs
+            if isinstance(size, _Rows) and length != 2 * pairs:
+                raise GridFormatError(f"{name} length {length} does not match {2 * pairs}",
+                                      offset=at + size)
+            if name == "tail" and length not in (0, 2):
+                raise GridFormatError(f"bad tail length {length}", offset=at)
+            at, size = at + size, length
+        field = take(at, size, name)
+        if name == "pair count":
+            pairs, left = int.from_bytes(field, "big"), end - at - size
+            if 2 * pairs > left:
+                raise GridFormatError(f"pair count {pairs} needs {2 * pairs} row bytes; the "
+                                      f"artifact ends {left} bytes after it", offset=at)
+        elif name == "tail":
+            if field and field[0] != TAIL_MARKER:
+                raise GridFormatError(f"bad tail marker {field[0]:#04x}", offset=at)
+            if at + size != end:
+                raise GridFormatError("trailing garbage after tail", offset=at + size)
+        yield name, at, field
+        at += size
 
 
 def _ordinals_ascend(ordinals):
@@ -563,29 +558,24 @@ def parse_grid(data):
     mismatches, channel length mismatches, inconsistent grid region,
     trailing garbage.
     """
-    reader = _Reader(data, _PAPER_FIELDS, GRID_MAGIC)
-    mode_byte = reader.number()
-    parsed_mode = _MODE_NAMES.get(mode_byte)
+    fields = _fields(data, GRID_MAGIC)
+    _, at, mode_byte = next(fields)
+    parsed_mode = _MODE_NAMES.get(mode_byte[0])
     if parsed_mode is None:
-        raise GridFormatError(f"unknown mode byte {mode_byte}", offset=reader.at)
-    pair_count = reader.pair_count()
-
-    region = bytes(reader.next())
-    region_start = reader.at
-
-    occupant = bytes(reader.next())
-    occ_start = reader.at
-    block_count, units_seen, last = _occupant_blocks(occupant, occ_start)
-    units_expected = _unit_count(pair_count, parsed_mode)
+        raise GridFormatError(f"unknown mode byte {mode_byte[0]}", offset=at)
+    _, _, pair_count = next(fields)
+    _, region_start, region = next(fields)
+    region = bytes(region)  # compared as bytes: a memoryview compares far slower
+    _, occ_start, occupant = next(fields)
+    block_count, units_seen, last = _occupant_blocks(bytes(occupant), occ_start)
+    units_expected = _unit_count(int.from_bytes(pair_count, "big"), parsed_mode)
     if units_seen != units_expected:
         raise GridFormatError(
             f"occupant stream holds {units_seen} units, header implies "
             f"{units_expected}",
             offset=occ_start,
         )
-
-    address = reader.next(2 * pair_count)
-    tail = reader.tail()
+    (_, _, address), (_, _, tail) = fields
 
     want_region = _region(address, parsed_mode, units_seen - last, last)
     if region != want_region:
@@ -598,7 +588,8 @@ def parse_grid(data):
         )
 
     return ParsedGrid(
-        stream=address, tail=tail, mode=parsed_mode, block_count=block_count
+        stream=address, tail=tail[1] if tail else None, mode=parsed_mode,
+        block_count=block_count,
     )
 
 
@@ -607,9 +598,8 @@ def parse_honest(data):
 
     Its row stream is a read-only view of the artifact.
     """
-    reader = _Reader(data, _HONEST_FIELDS, HONEST_MAGIC)
-    stream = reader.next(2 * reader.pair_count())
-    return ParsedHonest(stream=stream, tail=reader.tail())
+    _, (_, _, stream), (_, _, tail) = _fields(data, HONEST_MAGIC)
+    return ParsedHonest(stream=stream, tail=tail[1] if tail else None)
 
 
 def artifact_kind(data):

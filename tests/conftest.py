@@ -18,12 +18,16 @@ def set4():
     return transtable.TtSet4.canonical()
 
 
+def walked(data, magic):
+    """{name: (offset, size)} of each field after the version, read
+    through gridfile's field walker."""
+    return {name: (at, len(field)) for name, at, field in gridfile._fields(data, magic)}
+
+
 def occupant_stream(data):
     """Raw occupant stream of paper-format bytes, read through gridfile's
-    field table; checks magic, version and truncation only.  The reader
-    refuses a version it cannot walk before the fields after it."""
-    reader = gridfile._Reader(data, gridfile._PAPER_FIELDS, gridfile.GRID_MAGIC)
-    for name, _ in gridfile._PAPER_FIELDS[2:]:
-        field = reader.next()
+    field walker, which checks the fields up to it: magic, version,
+    truncation and the pair count."""
+    for name, _, field in gridfile._fields(data, gridfile.GRID_MAGIC):
         if name == "occupant stream":
             return bytes(field)

@@ -24,6 +24,8 @@ import random
 
 from fbar import codec, gridfile, transtable
 
+from conftest import walked
+
 # ROADMAP gap 3's input, 200 pairs, and an odd last byte, the tail.  Its
 # five distinct pairs repeat, so blocks restart on collisions.
 DATA = b"resolved! " * 40 + b"?"
@@ -59,9 +61,8 @@ def flipped_bits(artifact, fmt):
     ones inside a paper artifact's grid region."""
     if fmt != codec.FORMAT_PAPER:
         return list(range(8 * len(artifact)))
-    names = [name for name, _ in gridfile._PAPER_FIELDS]
-    start = 8 * sum(size for _, size in gridfile._PAPER_FIELDS[: names.index("grid region")])
-    end = start + 8 * gridfile.GRID_REGION_BYTES
+    start, size = walked(artifact, gridfile.GRID_MAGIC)["grid region"]
+    start, end = 8 * start, 8 * (start + size)
     sample = random.Random(SEED).sample(range(start, end), REGION_SAMPLES)
     return [*range(start), *sorted(sample), *range(end, 8 * len(artifact))]
 
@@ -132,20 +133,15 @@ def mutation_sites(artifact, fmt):
 
 def length_fields(artifact, fmt):
     """(offset, width) of the pair count and of each written channel
-    length, walked through the format's field table."""
-    fields = gridfile._PAPER_FIELDS if fmt == codec.FORMAT_PAPER else gridfile._HONEST_FIELDS
-    found, at = [], 0
-    for name, size in fields:
-        written = isinstance(size, gridfile._Channel) and size
-        if name == "pair count" or written:
-            found.append((at, size))
+    length: the bytes between a field and the end of the one before it."""
+    found, end = [], None
+    magic = gridfile.GRID_MAGIC if fmt == codec.FORMAT_PAPER else gridfile.HONEST_MAGIC
+    for name, (at, size) in walked(artifact, magic).items():
         if name == "pair count":
-            pairs = int.from_bytes(artifact[at : at + size], "big")
-        if written:
-            at += int.from_bytes(artifact[at : at + size], "big")
-        elif isinstance(size, gridfile._Channel):
-            at += 2 * pairs  # the honest row stream: its length is not written
-        at += size
+            found.append((at, size))
+        elif end is not None and at > end:
+            found.append((end, at - end))
+        end = at + size
     return found
 
 

@@ -24,7 +24,7 @@ from fbar.gridfile import (
 )
 from fbar.transtable import OCCUPANT_ALPHABET
 
-from conftest import occupant_stream
+from conftest import occupant_stream, walked
 
 
 def rows_for(text):
@@ -49,30 +49,45 @@ def honest_bytes(rows, tail=None):
 
 
 # Where the artifact fields start, spelled once for these tests and
-# test_codec; test_named_offsets_match_the_field_tables derives them from
-# gridfile's field tables.
+# test_codec; test_named_offsets_match_the_field_tables reads them from
+# gridfile's field walker.
 PAPER_HEADER_LEN = 14  # magic, version, mode, pair count
 REGION = slice(PAPER_HEADER_LEN, PAPER_HEADER_LEN + GRID_REGION_BYTES)
 OCCUPANT_AT = REGION.stop + 8  # the occupant stream, after its length prefix
 HONEST_HEADER_LEN = 13  # magic, version, pair count: where the row stream starts
-
-
-def _field_starts(fields):
-    """Each field's offset, as far as the first channel's contents."""
-    starts, at = {}, 0
-    for name, size in fields:
-        starts[name] = at
-        at += size
-    return starts
+VERSION_END = 5  # magic (4 bytes) and version (1): where the walked fields start
 
 
 def test_named_offsets_match_the_field_tables():
-    paper, sizes = _field_starts(gridfile._PAPER_FIELDS), dict(gridfile._PAPER_FIELDS)
-    assert PAPER_HEADER_LEN == paper["grid region"]
-    assert REGION == slice(paper["grid region"], paper["occupant stream"])
-    assert OCCUPANT_AT == paper["occupant stream"] + sizes["occupant stream"]
-    honest, sizes = _field_starts(gridfile._HONEST_FIELDS), dict(gridfile._HONEST_FIELDS)
-    assert HONEST_HEADER_LEN == honest["row stream"] + sizes["row stream"]
+    paper = walked(grid_bytes(list(range(10)), tail=0x41)[0], GRID_MAGIC)
+    assert PAPER_HEADER_LEN == paper["grid region"][0]
+    assert REGION == slice(paper["grid region"][0], sum(paper["grid region"]))
+    assert OCCUPANT_AT == paper["occupant stream"][0]
+    honest = walked(honest_bytes(list(range(10)), tail=0x41), gridfile.HONEST_MAGIC)
+    assert HONEST_HEADER_LEN == honest["row stream"][0]
+
+
+@pytest.mark.parametrize("tail", (None, 0x41))
+@pytest.mark.parametrize("pairs", (0, 1, 200))
+@pytest.mark.parametrize("mode", (MODE_1TT, MODE_4TT, None))  # None: the honest format
+def test_walked_fields_tile_the_artifact(mode, pairs, tail):
+    # From the version on, each field starts where the one before it
+    # ended, after the length written before a channel's bytes (none, or
+    # 1 or 8 bytes wide), which is that channel's size; the last ends
+    # the artifact.  The rows restart blocks on collisions and fill some.
+    rows = [i % 150 for i in range(pairs)]
+    if mode is None:
+        data, magic = honest_bytes(rows, tail), gridfile.HONEST_MAGIC
+    else:
+        data, magic = grid_bytes(rows, mode, tail)[0], GRID_MAGIC
+    end = VERSION_END
+    for name, at, field in gridfile._fields(data, magic):
+        assert at - end in (0, 1, 8), name
+        if at > end:
+            assert int.from_bytes(data[end:at], "big") == len(field), name
+        assert field == data[at : at + len(field)]
+        end = at + len(field)
+    assert end == len(data)
 
 
 def with_occupant(data, occupant):
@@ -417,7 +432,7 @@ def test_header_and_tail_length_errors_name_their_offset(tail):
     grid = grid_bytes(rows, MODE_4TT, tail)[0]
     tail_len_at = -3 if tail is not None else -1
     for parse, data in ((parse_honest, honest), (parse_grid, grid)):
-        for at, new, what in ((4, 2, "unsupported version 2"),
+        for at, new, what in ((4, 0, "unsupported version 0"), (4, 2, "unsupported version 2"),
                               (len(data) + tail_len_at, 1, "bad tail length 1")):
             bad = bytearray(data)
             bad[at] = new
@@ -734,6 +749,10 @@ def test_occupant_stream_rejects_truncation():
         occupant_stream(GRID_MAGIC + bytes(10))
     assert "unsupported version 0" in str(err.value) and err.value.offset == 4
     data, _ = grid_bytes(list(range(10)))
+    for version in (0, 2):  # the walker refuses a version it has no field table for
+        with pytest.raises(GridFormatError) as err:
+            occupant_stream(data[:4] + bytes((version,)) + data[5:])
+        assert f"unsupported version {version}" in str(err.value) and err.value.offset == 4
     for cut in (OCCUPANT_AT - 3, OCCUPANT_AT + 5):  # length prefix, stream
         with pytest.raises(GridFormatError) as err:
             occupant_stream(data[:cut])

@@ -91,6 +91,12 @@ def test_table_of_other_size_refused(tt, size):
         TranslationTable(originals)
 
 
+def test_size_given_as_an_int_is_refused():
+    # bytes(n) is n zero bytes: a table must not be built from a size
+    with pytest.raises(TypeError):
+        TranslationTable(2 * TT_ROWS)
+
+
 def test_typed_buffer_is_measured_in_bytes(tt):
     # an array's length counts items: 131,072 of them are 262,144 bytes
     with pytest.raises(TtError, match=f"buffer of {4 * TT_ROWS} bytes"):
