@@ -67,6 +67,13 @@ _F = bytes.fromhex(
 _F_INV = bytes.maketrans(_F, bytes(range(256)))  # maps each F[b] back to b
 
 
+def as_bytes(data):
+    """The snapshot rule of every entry point that reads an input, kept
+    where each module can import it: ``data`` itself when it is bytes,
+    else one copy of its buffer's bytes; a non-buffer raises TypeError."""
+    return data if type(data) is bytes else memoryview(data).tobytes()
+
+
 def _check_layout(layout):
     if layout not in LAYOUTS:
         raise ValueError(f"unknown layout {layout!r}; expected one of {LAYOUTS}")
@@ -163,7 +170,7 @@ def encode_stream(data, layout="interleaved"):
     interleaved stream is a read-only view of that translation without
     its last byte, not a copy.
     """
-    rows = bytes(data).translate(_F)
+    rows = as_bytes(data).translate(_F)
     return _regroup(memoryview(rows)[:-1] if len(rows) % 2 else rows, layout)
 
 

@@ -43,15 +43,10 @@ class CompressResult(namedtuple("CompressResult", "artifact summary report")):
     __repr__ = gridfile._sized_repr
 
 
-def _as_bytes(data):
-    """``data`` itself when it is bytes, else a copy of its buffer's bytes."""
-    return data if type(data) is bytes else memoryview(data).tobytes()
-
-
 def encode_rows(data, layout="interleaved"):
     """The row stream of every complete pair of the input, any bytes-like
     object taken as its bytes, plus the tail byte."""
-    data = _as_bytes(data)
+    data = addressing.as_bytes(data)
     tail = data[-1] if len(data) % 2 else None
     return addressing.encode_stream(data, layout), tail
 
@@ -66,7 +61,7 @@ def compress(job: CompressJob) -> CompressResult:
     layout = job.tables.layout
 
     start = time.perf_counter()
-    data = _as_bytes(job.data)
+    data = addressing.as_bytes(job.data)
     stream, tail = encode_rows(data, layout)
     if job.fmt == FORMAT_PAPER:
         summary = gridfile.write_grid(stream, job.mode, tail)
@@ -98,7 +93,7 @@ def decompress(job: DecompressJob) -> bytes:
     """Reconstruct the original input; bit-identical to what was compressed."""
     if job.mode not in (None, MODE_1TT, MODE_4TT):
         raise ValueError(f"unknown mode {job.mode!r}")
-    artifact = _as_bytes(job.artifact)
+    artifact = addressing.as_bytes(job.artifact)
     kind = gridfile.artifact_kind(artifact)
     if kind is None:
         magic = artifact[: len(gridfile.GRID_MAGIC)]

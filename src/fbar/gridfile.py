@@ -383,7 +383,7 @@ def _fields(data, magic):
     of rows holds twice the pair count, and the tail, of 0 or 2 bytes
     (the marker, then the odd byte), ends the artifact.
     """
-    data = memoryview(bytes(data))
+    data = memoryview(addressing.as_bytes(data))
     end = len(data)
 
     def take(at, size, what):

@@ -36,37 +36,19 @@ def paper_size(n_bytes, mode):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def shannon_order0(m):
-    """Order-0 entropy of an m-symbol alphabet, log2(m) bits per symbol."""
-    if m < 1:
-        raise ValueError(f"alphabet size must be >= 1, got {m}")
-    return math.log2(m)
-
-
-def empirical_entropy(data):
-    """Order-0 entropy of a byte sequence from its empirical frequencies.
-
-    ``data`` may also be the sequence's histogram (a Counter), which is
-    then used as it is rather than counted again.
-    """
-    counts = data if isinstance(data, Counter) else Counter(data)
-    total = sum(counts.values())
-    if not total:
-        return 0.0
-    h = -sum(c / total * math.log2(c / total) for c in counts.values())
-    return h if h > 0.0 else 0.0
-
-
 def order0(data):
     """Order-0 statistics of a byte sequence from one histogram.
 
-    Returns (distinct symbols, log2 of that alphabet, empirical entropy);
-    both entropies are in bits and 0.0 for empty input.
+    Returns (distinct symbols, log2 of that alphabet, the entropy of the
+    empirical byte frequencies); both entropies are in bits and 0.0 for
+    empty input.
     """
-    counts = Counter(data)
-    distinct = len(counts)
-    h0 = shannon_order0(distinct) if distinct else 0.0
-    return distinct, h0, empirical_entropy(counts)
+    counts = Counter(data).values()
+    total = sum(counts)
+    if not total:
+        return 0, 0.0, 0.0
+    h = -sum(c / total * math.log2(c / total) for c in counts)
+    return len(counts), math.log2(len(counts)), h if h > 0.0 else 0.0
 
 
 def fbar_H(ratio):

@@ -60,9 +60,8 @@ class TranslationTable:
     row_count = TT_ROWS
 
     def __init__(self, originals, layout="interleaved"):
-        # bytes kept as they are, for ensure_verified's identity check; an int is refused
-        self._originals = originals = (
-            originals if type(originals) is bytes else memoryview(originals).tobytes())
+        # bytes kept as they are, for ensure_verified's identity check
+        self._originals = originals = addressing.as_bytes(originals)
         if len(originals) != 2 * TT_ROWS:
             raise TtError(f"originals buffer of {len(originals)} bytes, expected {2 * TT_ROWS}")
         self.layout = layout

@@ -343,6 +343,33 @@ def test_any_buffer_is_taken_as_its_bytes(name, mode, fmt, tt):
         assert decompress(DecompressJob(artifact=items, tables=tt)) == raw
 
 
+# Objects that are no buffer; the list holds the bytes of an honest
+# artifact's header and an int is not a size.
+NOT_BUFFERS = {"int": 10, "list": [70, 66, 72, 78, 1] + [0] * 9, "str": "FBHN"}
+
+# Every entry point that reads a caller's input, called with it.
+ENTRY_POINTS = {
+    "encode_stream": lambda x, tt: addressing.encode_stream(x),
+    "decode_stream": lambda x, tt: addressing.decode_stream(x),
+    "encode_rows": lambda x, tt: encode_rows(x),
+    "parse_grid": lambda x, tt: gridfile.parse_grid(x),
+    "parse_honest": lambda x, tt: gridfile.parse_honest(x),
+    "write_grid": lambda x, tt: gridfile.write_grid(x, MODE_1TT),
+    "write_honest": lambda x, tt: gridfile.write_honest(x),
+    "artifact_kind": lambda x, tt: gridfile.artifact_kind(x),
+    "compress": lambda x, tt: compress(CompressJob(data=x, tables=tt)),
+    "decompress": lambda x, tt: decompress(DecompressJob(artifact=x, tables=tt)),
+    "TranslationTable": lambda x, tt: transtable.TranslationTable(x),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_BUFFERS))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_refuses_a_non_buffer(entry, kind, tt):
+    with pytest.raises(TypeError):
+        ENTRY_POINTS[entry](NOT_BUFFERS[kind], tt)
+
+
 @pytest.mark.parametrize("layout", addressing.LAYOUTS)
 @pytest.mark.parametrize("mode", (MODE_1TT, MODE_4TT))
 def test_honest_path_keeps_rows_in_the_row_stream(layout, mode, monkeypatch):
@@ -385,20 +412,20 @@ def test_report_elapsed_covers_report_building(tt, monkeypatch):
 
     # ... but not the input's entropy, which is computed on first read.
     monkeypatch.setattr(gridfile, "write_honest", write_honest)
-    entropy = metrics.empirical_entropy
+    order0 = metrics.order0
     entropy_calls = []
 
-    def slow_entropy(data):
+    def slow_order0(data):
         entropy_calls.append(data)
         time.sleep(0.05)
-        return entropy(data)
+        return order0(data)
 
-    monkeypatch.setattr(metrics, "empirical_entropy", slow_entropy)
+    monkeypatch.setattr(metrics, "order0", slow_order0)
     report = compress(CompressJob(data=b"resolved", tables=tt, fmt=FORMAT_HONEST)).report
     elapsed, throughput = report.elapsed, report.throughput
     assert elapsed < 0.05
     assert entropy_calls == []
-    assert report.empirical_H == entropy(b"resolved")
+    assert report.empirical_H == order0(b"resolved")[2]
     assert len(entropy_calls) == 1
     assert (report.elapsed, report.throughput) == (elapsed, throughput)
 

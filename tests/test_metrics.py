@@ -7,13 +7,12 @@ import hypothesis.strategies as st
 
 from fbar import addressing, metrics, transtable
 from fbar.metrics import (
-    empirical_entropy,
     fbar_H,
     manipulation_distance,
+    order0,
     paper_size,
     pigeonhole_audit,
     savings_from_H,
-    shannon_order0,
 )
 
 # Reported corpus: input KiB -> compressed KiB for the two modes.
@@ -73,25 +72,25 @@ def test_paper_size_rejects():
 
 
 def test_shannon_order0():
-    assert abs(shannon_order0(27) - 4.7549) < 1e-4
-    assert shannon_order0(2) == 1
-    assert shannon_order0(256) == 8
-    assert shannon_order0(1) == 0
-    with pytest.raises(ValueError):
-        shannon_order0(0)
+    # log2 of the distinct byte count: 27, 2, 256 and 1 distinct bytes
+    assert abs(order0(bytes(range(27)) * 3)[1] - 4.7549) < 1e-4
+    assert order0(b"abba")[1] == 1
+    assert order0(bytes(range(256)))[1] == 8
+    assert order0(b"zzz")[1] == 0
+    assert order0(b"") == (0, 0.0, 0.0)
 
 
 def test_empirical_entropy_anchors():
-    assert empirical_entropy(b"") == 0.0
-    assert empirical_entropy(b"aaaaaaa") == 0.0
-    assert empirical_entropy(b"abababab") == 1.0
-    assert empirical_entropy(bytes(range(256)) * 4) == 8.0
+    assert order0(b"")[2] == 0.0
+    assert order0(b"aaaaaaa")[2] == 0.0
+    assert order0(b"abababab")[2] == 1.0
+    assert order0(bytes(range(256)) * 4)[2] == 8.0
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.binary(max_size=512))
 def test_empirical_entropy_bounds(data):
-    h = empirical_entropy(data)
+    h = order0(data)[2]
     assert 0.0 <= h <= 8.0 + 1e-9
 
 
