@@ -507,7 +507,7 @@ def _occupant_blocks(occupant, base_offset):
     left, chunks = _without_one_unit_chunks(occupant)
     separators = left.translate(None, _NOT_SEPARATORS)
     cycles, rest = divmod(len(separators), len(_CYCLE))
-    ordinals = left.translate(_ORDINALS)
+    ordinals = addressing._translate(left, _ORDINALS)
     closed = ordinals[-1] == 0
     block_count = len(separators) + (not closed)
     if (ordinals[0] == 1 and (ordinals[-1 - closed] == BLOCK_UNITS) == closed

@@ -89,14 +89,16 @@ def manipulation_distance(n_compressed_units, decompressed=False):
 class MetricsReport:
     """One compression run's measured values and the figures derived from them.
 
-    It keeps the input's bytes (``data``), ``elapsed`` and the sizes of
-    the channels written; every nominal figure is a read-only property of
-    the input size and the mode.  The order-0 entropies (``shannon_H0``,
+    It keeps the input's bytes (``data``, any buffer, taken through
+    ``addressing.as_bytes``), ``elapsed`` and the sizes of the channels
+    written; every nominal figure is a read-only property of the input
+    size and the mode.  The order-0 entropies (``shannon_H0``,
     ``empirical_H``) describe the input, so its byte histogram is built
     on their first read, once, and ``elapsed`` never includes it.
     """
 
     def __init__(self, data, mode, fmt, elapsed, paper_accounted, honest_size, artifact_size):
+        data = addressing.as_bytes(data)
         self.input_size = len(data)
         self.mode = mode
         self.fmt = fmt

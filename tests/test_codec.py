@@ -334,6 +334,8 @@ def test_any_buffer_is_taken_as_its_bytes(name, mode, fmt, tt):
     assert restored == raw
     assert result.report.input_size == len(raw)
     assert result.report.honest_size >= len(raw)
+    report = metrics.MetricsReport(data, mode, fmt, 0.0, None, 0, 0)
+    assert (report.input_size, report.empirical_H) == (len(raw), metrics.order0(raw)[2])
     # an artifact of 2-byte items decodes as its bytes; every honest one has even length
     assert len(result.artifact) % 2 == 0 or fmt == FORMAT_PAPER
     if len(result.artifact) % 2 == 0:
@@ -360,6 +362,8 @@ ENTRY_POINTS = {
     "compress": lambda x, tt: compress(CompressJob(data=x, tables=tt)),
     "decompress": lambda x, tt: decompress(DecompressJob(artifact=x, tables=tt)),
     "TranslationTable": lambda x, tt: transtable.TranslationTable(x),
+    "MetricsReport": lambda x, tt: metrics.MetricsReport(x, MODE_1TT, FORMAT_PAPER, 0.0,
+                                                         None, 0, 0),
 }
 
 

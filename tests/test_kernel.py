@@ -1,5 +1,6 @@
 """Differential tests: the byte-permutation kernel against the scalar functions."""
 
+import random
 from array import array
 
 import pytest
@@ -8,6 +9,10 @@ import hypothesis.strategies as st
 
 from fbar.addressing import (
     LAYOUTS,
+    _F,
+    _F_INV,
+    _TRANSLATE_CHUNK as C,
+    _translate,
     decode_stream,
     encode_stream,
     pair_of_row,
@@ -51,17 +56,35 @@ def test_kernel_round_trip(data, layout):
     assert decode_stream(stream, layout) == data[:even]
 
 
+def _each_buffer(data):
+    """``data`` as bytes, bytearray and memoryview and, at an even length,
+    as 2-byte items."""
+    typed = [array("H", data), memoryview(data).cast("H")] if len(data) % 2 == 0 else []
+    return [data, bytearray(data), memoryview(data), *typed]
+
+
 @pytest.mark.parametrize("layout", LAYOUTS)
-def test_kernel_accepts_any_buffer(layout):
-    data = bytes(range(256)) * 3 + b"ab!"  # 385 pairs and a tail
+@pytest.mark.parametrize("size", [0, 1, C - 1, C, C + 1, 3 * C + 5])
+def test_kernel_accepts_any_buffer(layout, size):
+    # Lengths on both sides of the translate chunk, with and without a tail.
+    data = random.Random(size).randbytes(size)
+    even = size - size % 2
+    tail = data[-1] if size % 2 else None
+    rows = row_table(layout)
     stream = encode_stream(data, layout)
-    pairs = data[:-1]
-    typed = (array("H", pairs), memoryview(pairs).cast("H"))
-    for buf in (bytearray(data), memoryview(data), *typed):
-        assert encode_stream(buf, layout) == stream
-    typed = (array("H", bytes(stream)), memoryview(stream).cast("H"))
-    for buf in (bytearray(stream), memoryview(stream), *typed):
-        assert decode_stream(buf, layout) == pairs
+    assert row_array(stream).tolist() == [
+        rows[x << 8 | x2] for x, x2 in zip(data[0:even:2], data[1:even:2])
+    ]
+    for buf in _each_buffer(data):
+        assert _translate(buf, _F) == bytes(buf).translate(_F)
+        assert _translate(buf, _F_INV, b"!") == bytes(buf).translate(_F_INV) + b"!"
+        got = encode_stream(buf, layout)
+        assert type(got) is bytes and got == stream
+    for buf in _each_buffer(stream):
+        got = decode_stream(buf, layout, tail)
+        assert type(got) is bytes and got == data
+        got = decode_stream(buf, layout)
+        assert type(got) is bytes and got == data[:even]
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
