@@ -26,11 +26,15 @@ translated through F, and decoding translates it back through F's
 inverse; the grouped layout adds the nibble swap on both sides.  Both
 translates return bytes, built a chunk at a time (_translate), and an
 odd last byte is never translated: encoding leaves it out and decoding
-appends it as it is.  F is
-a literal here and, with its inverse derived from it once, the only
-copy of the byte coordinates: decoding translates through them, never
-through a translation table, and the scalar functions below, the
-reference the kernel is tested against, read F's nibbles and inverse.
+appends it as it is.  F is a literal here and, with its inverse derived
+from it once, the only copy of the byte coordinates: decoding translates
+through them, never through a translation table, and the scalar
+functions below, the reference the kernel is tested against, read F's
+nibbles and inverse.
+
+Every entry point takes any buffer as its bytes, by one of two rules
+kept here: as_bytes takes a snapshot, for an input that is kept, and
+as_view a byte view, for one that is only read.
 """
 
 import sys
@@ -79,10 +83,18 @@ _TRANSLATE_CHUNK = 65536
 
 
 def as_bytes(data):
-    """The snapshot rule of every entry point that reads an input, kept
+    """The snapshot rule of every entry point that keeps an input, kept
     where each module can import it: ``data`` itself when it is bytes,
     else one copy of its buffer's bytes; a non-buffer raises TypeError."""
     return data if type(data) is bytes else memoryview(data).tobytes()
+
+
+def as_view(data):
+    """The read rule of every entry point that only reads an input: a
+    view of its buffer's bytes, of one copy when the buffer is not
+    C-contiguous; a non-buffer raises TypeError."""
+    view = memoryview(data)
+    return view.cast("B") if view.c_contiguous else memoryview(view.tobytes())
 
 
 def _check_layout(layout):
@@ -181,7 +193,7 @@ def _translate(data, table, suffix=b""):
     Each _TRANSLATE_CHUNK bytes are copied into a bytearray and translated
     there, and the chunks are joined once.
     """
-    view = memoryview(data).cast("B")
+    view = as_view(data)  # a slice of bytes would be copied once more
     chunks = [bytearray(view[at : at + _TRANSLATE_CHUNK]).translate(table)
               for at in range(0, len(view), _TRANSLATE_CHUNK)]
     chunks.append(suffix)
@@ -191,8 +203,8 @@ def _translate(data, table, suffix=b""):
 def encode_stream(data, layout="interleaved"):
     """Row stream of every complete pair of ``data``, as bytes; an odd last
     byte is left out, and only the pairs are translated."""
-    data = as_bytes(data)
-    return _regroup(_translate(memoryview(data)[: len(data) - len(data) % 2], _F), layout)
+    data = as_view(data)
+    return _regroup(_translate(data[: len(data) - len(data) % 2], _F), layout)
 
 
 def decode_stream(stream, layout="interleaved", tail=None):
@@ -204,7 +216,7 @@ def decode_stream(stream, layout="interleaved", tail=None):
     """
     if tail is not None and not 0 <= tail <= 255:
         raise ValueError(f"not a tail byte: {tail!r}")
-    stream = _regroup(memoryview(stream).cast("B"), layout)
+    stream = _regroup(as_view(stream), layout)
     return _translate(stream, _F_INV, b"" if tail is None else bytes((tail,)))
 
 

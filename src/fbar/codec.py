@@ -15,7 +15,7 @@ from collections import namedtuple
 
 from . import addressing, gridfile, metrics
 from .addressing import FORMAT_HONEST, FORMAT_PAPER, FORMATS  # re-exported
-from .gridfile import MODE_1TT, MODE_4TT, GridFormatError
+from .gridfile import MODE_1TT, GridFormatError
 
 
 class ModeMismatchError(Exception):
@@ -46,14 +46,14 @@ class CompressResult(namedtuple("CompressResult", "artifact summary report")):
 def encode_rows(data, layout="interleaved"):
     """The row stream of every complete pair of the input, any bytes-like
     object taken as its bytes, plus the tail byte."""
-    data = addressing.as_bytes(data)
+    data = addressing.as_view(data)
     tail = data[-1] if len(data) % 2 else None
     return addressing.encode_stream(data, layout), tail
 
 
 def compress(job: CompressJob) -> CompressResult:
     """Run one compression job; the report carries both accountings."""
-    if job.mode not in (MODE_1TT, MODE_4TT):
+    if job.mode not in addressing.MODES:
         raise ValueError(f"unknown mode {job.mode!r}")
     if job.fmt not in FORMATS:
         raise ValueError(f"unknown format {job.fmt!r}")
@@ -91,7 +91,7 @@ def compress(job: CompressJob) -> CompressResult:
 
 def decompress(job: DecompressJob) -> bytes:
     """Reconstruct the original input; bit-identical to what was compressed."""
-    if job.mode not in (None, MODE_1TT, MODE_4TT):
+    if job.mode is not None and job.mode not in addressing.MODES:
         raise ValueError(f"unknown mode {job.mode!r}")
     artifact = addressing.as_bytes(job.artifact)
     kind = gridfile.artifact_kind(artifact)

@@ -120,18 +120,17 @@ _AFTER_CYCLE = _SEPARATORS[-1] + _ONE_UNIT_CHUNK
 # or 1,024 4tt units; _ordinals_ascend reads an occupant stream's ordinals
 # this many bytes at a time.
 _SPAN = 8192
-# Every byte below 32 is read as a separator; translating them all to
-# one marker lets a split find the blocks.
-_MARK = b"\x00"
+# Every byte below 32 is read as a separator: deleting the others
+# leaves the separators alone.
 _NOT_SEPARATORS = bytes(range(32, 256))
-_MARK_SEPARATORS = bytes(32) + _NOT_SEPARATORS
 _CYCLE = bytes(SEPARATOR_CODES)
 # _CLAMPED[n]: a block of n bytes held to 1..95 units, for the rendering
 # that names a defect: an empty or over-long block has no rendering.
 _CLAMPED = b"\x01" + bytes(range(1, BLOCK_UNITS + 1)) + bytes((BLOCK_UNITS,)) * (255 - BLOCK_UNITS)
 # _ORDINALS[b]: a byte's ordinal, 0 for a separator and n for the n-th
-# char; any other byte reads _OTHER, which is no ordinal's successor, so
-# only a separator may follow it.  Every ordinal stays below 0x7F, so
+# char, so a split of the image at 0 finds the blocks; any other byte
+# reads _OTHER, which is no ordinal's successor, so only a separator may
+# follow it.  Every ordinal stays below 0x7F, so
 # each byte of s + 1, of x ^ (s + 1) and of s | x in the span check
 # below stays below 0x80, and adding 0x7F to it never carries into the
 # next byte.
@@ -251,7 +250,7 @@ def _block_lengths(stream, mode):
     """
     per_unit = _MODE_BYTES[mode]
     unit = 2 * per_unit
-    octets = memoryview(stream).cast("B")
+    octets = addressing.as_view(stream)
     partial = octets[len(octets) - len(octets) % unit :]
     octets = octets[: len(octets) - len(partial)]
     words = octets.cast("H")  # a collision needs no byte order
@@ -335,7 +334,7 @@ def write_grid(stream, mode, tail=None):
     """
     if mode not in _MODE_BYTES:
         raise ValueError(f"unknown mode {mode!r}")
-    stream = memoryview(stream).cast("B")
+    stream = addressing.as_view(stream)
     pair_count = _pair_count(stream)
     tail_bytes = _tail_bytes(tail)
 
@@ -366,7 +365,7 @@ def write_grid(stream, mode, tail=None):
 
 def write_honest(stream, tail=None):
     """The bytes of a self-contained artifact of a row stream, taken as bytes."""
-    stream = memoryview(stream).cast("B")
+    stream = addressing.as_view(stream)
     return _pack(_HONEST_FIELDS, (HONEST_MAGIC, VERSION, _pair_count(stream), stream,
                                   _tail_bytes(tail)))
 
@@ -515,7 +514,7 @@ def _occupant_blocks(occupant, base_offset):
             and _ordinals_ascend(ordinals)):
         return (block_count + chunks * _CHUNK, len(left) - len(separators) + chunks * _CHUNK,
                 ordinals[-1 - closed])
-    blocks = occupant.translate(_MARK_SEPARATORS).split(_MARK)
+    blocks = occupant.translate(_ORDINALS).split(b"\0")
     if closed:
         blocks.pop()
     sizes = list(map(len, blocks))
@@ -542,7 +541,7 @@ def _occupant_mismatch(got, want, base_offset):
             f"occupant ordinal gap: char {got[i]:#04x} where {want[i]:#04x} "
             f"(ordinal {OCCUPANT_ALPHABET.index(want[i]) + 1}) was expected"
         )
-    block = want[:i].translate(_MARK_SEPARATORS).count(_MARK)
+    block = want[:i].translate(_ORDINALS).count(0)
     return GridFormatError(what, offset=base_offset + i, block=block)
 
 
@@ -605,5 +604,5 @@ def parse_honest(data):
 def artifact_kind(data):
     """Classify an artifact, any bytes-like object taken as bytes, by its
     magic: 'paper', 'honest' or None."""
-    return _KINDS.get(bytes(memoryview(data).cast("B")[: len(GRID_MAGIC)]))
+    return _KINDS.get(bytes(addressing.as_view(data)[: len(GRID_MAGIC)]))
 

@@ -65,8 +65,9 @@ def _check_combo(combo, allowed=OP_SYMBOLS):
 def apply_stage1(combo, byte=PURE_BYTE):
     """Apply a stage-1 combo to a byte, most-significant pair first.
 
-    Any combo over all four symbols is accepted here; the canonical
-    encode path only ever uses ip-combos on the pure byte.
+    Any combo over all four symbols is accepted here, and apply_stage2
+    applies its zn-combos through it; the canonical encode path only
+    ever uses ip-combos on the pure byte.
     """
     _check_combo(combo)
     if not 0 <= byte <= 0xFF:
@@ -81,14 +82,7 @@ def apply_stage1(combo, byte=PURE_BYTE):
 def apply_stage2(combo, byte):
     """Apply a zn-combo to a byte: z passes each pair, n negates it."""
     _check_combo(combo, allowed="zn")
-    if not 0 <= byte <= 0xFF:
-        raise ValueError(f"not a byte: {byte!r}")
-    out = 0
-    for pos, op in enumerate(combo):
-        shift = (3 - pos) * 2
-        pair = (byte >> shift) & 0b11
-        out |= (pair ^ 0b11 if op == "n" else pair) << shift
-    return out
+    return apply_stage1(combo, byte)
 
 
 def decode_byte(stage1, stage2):
@@ -104,13 +98,7 @@ def canonical_factor(byte):
     """
     if not 0 <= byte <= 0xFF:
         raise ValueError(f"not a byte: {byte!r}")
-    stage1 = []
-    stage2 = []
-    for pos in range(4):
-        pair = (byte >> ((3 - pos) * 2)) & 0b11
-        s1, s2 = _PAIR_FACTOR[pair]
-        stage1.append(s1)
-        stage2.append(s2)
+    stage1, stage2 = zip(*(_PAIR_FACTOR[byte >> shift & 0b11] for shift in (6, 4, 2, 0)))
     return "".join(stage1), "".join(stage2)
 
 

@@ -31,3 +31,11 @@ def occupant_stream(data):
     for name, _, field in gridfile._fields(data, gridfile.GRID_MAGIC):
         if name == "occupant stream":
             return bytes(field)
+
+
+def strided(data):
+    """A view of ``data``'s bytes that is not C-contiguous: every other
+    byte of a buffer twice as long."""
+    spread = bytearray(2 * len(data))
+    spread[::2] = data
+    return memoryview(spread)[::2]

@@ -248,8 +248,13 @@ def test_entropy_command(tmp_path, capsys):
     skewed.write_bytes(b"aab")
     empty = tmp_path / "empty.bin"
     empty.write_bytes(b"")
-    assert main(["entropy", str(flat), str(mixed), str(skewed), str(empty)]) == EXIT_OK
-    assert capsys.readouterr().out.splitlines() == [
+    missing = tmp_path / "missing.bin"
+    files = [flat, mixed, missing, skewed, empty]
+    # an unreadable file gets its own line and exit 6; the others are still measured
+    assert main(["entropy", *map(str, files)]) == EXIT_UNREADABLE
+    lines = capsys.readouterr().out.splitlines()
+    assert lines.pop(2).startswith(f"{missing}: unreadable (")
+    assert lines == [
         f"{flat}: 100 bytes, 1 symbols, empirical H 0.0000 bits/byte, log2(m) 0.0000 bpc",
         f"{mixed}: 256 bytes, 256 symbols, empirical H 8.0000 bits/byte, log2(m) 8.0000 bpc",
         f"{skewed}: 3 bytes, 2 symbols, empirical H 0.9183 bits/byte, log2(m) 1.0000 bpc",

@@ -23,7 +23,7 @@ from fbar.codec import (
     roundtrip,
 )
 from fbar.gridfile import MODE_1TT, MODE_4TT
-from conftest import occupant_stream
+from conftest import occupant_stream, strided
 from test_gridfile import HONEST_HEADER_LEN
 
 
@@ -336,7 +336,10 @@ def test_any_buffer_is_taken_as_its_bytes(name, mode, fmt, tt):
     assert result.report.honest_size >= len(raw)
     report = metrics.MetricsReport(data, mode, fmt, 0.0, None, 0, 0)
     assert (report.input_size, report.empirical_H) == (len(raw), metrics.order0(raw)[2])
-    # an artifact of 2-byte items decodes as its bytes; every honest one has even length
+    # a strided view of an artifact, and one of 2-byte items, decode as
+    # their bytes; every honest artifact has even length
+    assert gridfile.artifact_kind(strided(result.artifact)) == fmt
+    assert decompress(DecompressJob(artifact=strided(result.artifact), tables=tt)) == raw
     assert len(result.artifact) % 2 == 0 or fmt == FORMAT_PAPER
     if len(result.artifact) % 2 == 0:
         items = array("H")

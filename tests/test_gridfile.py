@@ -24,7 +24,7 @@ from fbar.gridfile import (
 )
 from fbar.transtable import OCCUPANT_ALPHABET
 
-from conftest import occupant_stream, walked
+from conftest import occupant_stream, strided, walked
 
 
 def rows_for(text):
@@ -302,15 +302,15 @@ def test_honest_parse_inverts_write(stream, tail, kind):
 @example((list(range(190)), MODE_1TT), None)
 @example((list(range(380)) + [0, 1, 0, 7, 7], MODE_4TT), 3)
 def test_buffer_kinds_write_the_same_artifact(case, tail):
-    # _block_lengths reads a view of its input, so an offset view must
-    # give the same artifact as the bytes it shows; a buffer of 2-byte
-    # items is measured in bytes, not items
+    # _block_lengths reads a view of its input, so an offset or a strided
+    # view must give the same artifact as the bytes it shows; a buffer of
+    # 2-byte items is measured in bytes, not items
     rows, mode = case
     stream = stream_of(rows)
     halfwords = array("H")
     halfwords.frombytes(stream)
     buffers = (stream, bytearray(stream), memoryview(stream), memoryview(b"xx" + stream)[2:],
-               halfwords, memoryview(halfwords))
+               strided(stream), halfwords, memoryview(halfwords))
     written = [(write_grid(buf, mode, tail), write_honest(buf, tail)) for buf in buffers]
     assert written == [written[0]] * len(buffers)
     # each writer returns the bytes it joined, whatever buffer it was given

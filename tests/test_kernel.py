@@ -21,6 +21,7 @@ from fbar.addressing import (
     row_of_pair,
     row_table,
 )
+from conftest import strided
 
 # Every pair in (x << 8 | x2) order; read as a row stream, rows 0..65535.
 EVERY_PAIR = bytes(b for key in range(65536) for b in (key >> 8, key & 0xFF))
@@ -57,10 +58,10 @@ def test_kernel_round_trip(data, layout):
 
 
 def _each_buffer(data):
-    """``data`` as bytes, bytearray and memoryview and, at an even length,
-    as 2-byte items."""
+    """``data`` as bytes, bytearray, memoryview and a strided view and, at
+    an even length, as 2-byte items."""
     typed = [array("H", data), memoryview(data).cast("H")] if len(data) % 2 == 0 else []
-    return [data, bytearray(data), memoryview(data), *typed]
+    return [data, bytearray(data), memoryview(data), strided(data), *typed]
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)

@@ -115,6 +115,12 @@ def test_fbar_H_float_half():
     assert fbar_H(0.5) == -1
 
 
+def test_savings_from_H_float():
+    # an integral float is exact; any other float stays a float
+    assert savings_from_H(2.0) == Fraction(1, 2) and isinstance(savings_from_H(2.0), Fraction)
+    assert savings_from_H(1.5) == 1 - 2 ** 1.5 / 8
+
+
 def test_fbar_H_general_value():
     assert abs(fbar_H(3) - math.log2(3)) < 1e-12
 

@@ -222,6 +222,10 @@ def test_text_write_failure_names_bytes_written(tt):
     assert 0 < sink.accepted < TEXT_TOTAL_BYTES
     assert f"after {sink.accepted} bytes" in str(err.value)
     assert isinstance(err.value.__cause__, OSError)
+    # the binary form writes once, into the same full sink
+    with pytest.raises(TtError, match="^binary serialization failed: ") as err:
+        serialize_binary(tt, sink)
+    assert isinstance(err.value.__cause__, OSError)
 
 
 def test_binary_roundtrip(tt):
@@ -233,9 +237,16 @@ def test_binary_roundtrip(tt):
 
 
 def test_binary_bad_magic(tt):
-    with pytest.raises(TtFormatError) as err:
-        load_binary(io.BytesIO(b"NOPE" + b"\x00" * 16))
-    assert err.value.offset == 0
+    # the header's three defects, each at its own offset; a loop keeps one test id
+    for data, message, offset in [
+        (b"NOPE" + b"\x00" * 16, "bad magic b'NOPE'", 0),
+        (b"FBTT", "truncated before version byte", 4),
+        (b"FBTT\x02" + b"\x00" * 16, "unsupported version 2", 4),
+    ]:
+        with pytest.raises(TtFormatError) as err:
+            load_binary(io.BytesIO(data))
+        assert err.value.offset == offset
+        assert str(err.value) == f"{message} (at byte offset {offset})"
 
 
 def test_binary_truncation_names_offset(tt):
