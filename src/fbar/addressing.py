@@ -23,14 +23,14 @@ interleaved row with its two middle nibbles swapped, a swap that is its
 own inverse.  A "row stream" holds each row as 2 big-endian bytes, so
 the interleaved row stream of an even-length input is the input
 translated through F, and decoding translates it back through F's
-inverse; the grouped layout adds the nibble swap on both sides.  Both
-translates return bytes, built a chunk at a time (_translate), and an
-odd last byte is never translated: encoding leaves it out and decoding
-appends it as it is.  F is a literal here and, with its inverse derived
-from it once, the only copy of the byte coordinates: decoding translates
-through them, never through a translation table, and the scalar
-functions below, the reference the kernel is tested against, read F's
-nibbles and inverse.
+inverse.  Both return bytes, built a chunk at a time (_translate), and
+the grouped layout swaps each chunk's nibbles in the same pass: after
+its translate when encoding, before it when decoding.  An odd last byte
+is never translated: encoding leaves it out and decoding appends it.  F
+is a literal here and, with its inverse derived from it once, the only
+copy of the byte coordinates: decoding translates through them, never
+through a translation table, and the scalar functions below, the
+kernel's tested reference, read F's nibbles and inverse.
 
 Every entry point takes any buffer as its bytes, by one of two rules
 kept here: as_bytes takes a snapshot, for an input that is kept, and
@@ -168,34 +168,32 @@ def _all_rows():
 # (x << 8 | x2) order.
 ALL_ROWS = _all_rows()
 
-def _regroup(stream, layout):
-    """Convert a row stream between the interleaved and the given layout.
 
-    The grouped layout swaps the middle nibbles of every row.  One delta
-    swap does it for the whole stream read as a big-endian integer: ``t``
-    marks where the two nibbles differ, and XOR-ing it into both places
-    exchanges them.
-    """
-    _check_layout(layout)
-    if len(stream) % 2:
-        raise ValueError(f"row stream of odd length {len(stream)}")
-    if layout == "interleaved":
-        return stream
-    words = int.from_bytes(stream, "big")
-    t = (words >> 4 ^ words) & int.from_bytes(b"\x00\xf0" * (len(stream) // 2), "big")
-    return (words ^ t ^ t << 4).to_bytes(len(stream), "big")
+def _swapped(chunk, mask):
+    """``chunk``'s rows, middle nibbles swapped: ``t`` marks where they
+    differ, and XOR-ing in ``t * 17``, ``t`` at both places, swaps them."""
+    words = int.from_bytes(chunk, "big")
+    t = (words >> 4 ^ words) & mask
+    return (words ^ t * 17).to_bytes(len(chunk), "big")
 
 
-def _translate(data, table, suffix=b""):
+def _translate(data, table, suffix=b"", swap=None):
     """``bytes(data).translate(table) + suffix`` as bytes, for any buffer
     read as its bytes.
 
     Each _TRANSLATE_CHUNK bytes are copied into a bytearray and translated
-    there, and the chunks are joined once.
+    there, and the chunks are joined once.  ``swap`` "after" or "before"
+    swaps each chunk's nibbles after or before its translate, through a
+    mask of one chunk at most, which fits a shorter last chunk too.
     """
     view = as_view(data)  # a slice of bytes would be copied once more
-    chunks = [bytearray(view[at : at + _TRANSLATE_CHUNK]).translate(table)
-              for at in range(0, len(view), _TRANSLATE_CHUNK)]
+    if swap:
+        mask = int.from_bytes(b"\x00\xf0" * (min(len(view), _TRANSLATE_CHUNK) // 2), "big")
+    chunks = []
+    for at in range(0, len(view), _TRANSLATE_CHUNK):
+        chunk = view[at : at + _TRANSLATE_CHUNK]
+        chunk = bytearray(_swapped(chunk, mask) if swap == "before" else chunk).translate(table)
+        chunks.append(_swapped(chunk, mask) if swap == "after" else chunk)
     chunks.append(suffix)
     return b"".join(chunks)
 
@@ -204,20 +202,22 @@ def encode_stream(data, layout="interleaved"):
     """Row stream of every complete pair of ``data``, as bytes; an odd last
     byte is left out, and only the pairs are translated."""
     data = as_view(data)
-    return _regroup(_translate(data[: len(data) - len(data) % 2], _F), layout)
+    _check_layout(layout)
+    even = data[: len(data) - len(data) % 2]
+    return _translate(even, _F, swap="after" if layout == "grouped" else None)
 
 
 def decode_stream(stream, layout="interleaved", tail=None):
     """Pairs of a row stream, any buffer read as its bytes, then ``tail``,
-    the odd last byte, when given; exact inverse of encode_stream.
-
-    The regrouped rows are translated through F's inverse and the tail
-    byte joins them as it is, in the same join.
-    """
+    the odd last byte, when given; exact inverse of encode_stream."""
     if tail is not None and not 0 <= tail <= 255:
         raise ValueError(f"not a tail byte: {tail!r}")
-    stream = _regroup(as_view(stream), layout)
-    return _translate(stream, _F_INV, b"" if tail is None else bytes((tail,)))
+    stream = as_view(stream)
+    _check_layout(layout)
+    if len(stream) % 2:
+        raise ValueError(f"row stream of odd length {len(stream)}")
+    suffix = b"" if tail is None else bytes((tail,))
+    return _translate(stream, _F_INV, suffix, "before" if layout == "grouped" else None)
 
 
 def row_array(stream):

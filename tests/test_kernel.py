@@ -1,6 +1,7 @@
 """Differential tests: the byte-permutation kernel against the scalar functions."""
 
 import random
+import tracemalloc
 from array import array
 
 import pytest
@@ -86,6 +87,24 @@ def test_kernel_accepts_any_buffer(layout):
             assert type(got) is bytes and got == data
             got = decode_stream(buf, layout)
             assert type(got) is bytes and got == data[:even]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_kernel_peaks_near_its_input(layout):
+    # Both layouts take one pass over the translate chunks, the grouped
+    # nibble swap included, so neither side holds a stream-sized
+    # intermediate beside its output.
+    data = random.Random(7).randbytes(1024 * 1024 + 1)
+    stream = encode_stream(data, layout)
+    for side, run in (("encode", lambda: encode_stream(data, layout)),
+                      ("decode", lambda: decode_stream(stream, layout, data[-1]))):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(data), (side, peak, len(data))
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
