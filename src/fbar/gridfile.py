@@ -39,9 +39,9 @@ only its first unit looked up, and _render emits each chunk of
 one-unit blocks as one constant.  The parser checks each field as it
 reads it, in file order.  It accepts the occupant stream when it is
 _render's output for its own blocks, which it checks without rendering
-again or making an object per block.  First it sets aside the copies
-of that constant that cannot change the verdict; which ones, and why,
-is stated once, at _without_one_unit_chunks.  What is left is
+again or making an object per block.  First it sets aside the
+stream's leading copies of that constant, which cannot change the
+verdict (why is stated once, at _occupant_blocks).  What is left is
 translated once to its ordinals (0 for a separator, n for the n-th
 char), where each char must be the ordinal after the byte before it
 and each separator must follow a char, tested a span of bytes at a
@@ -114,8 +114,6 @@ _PIECES = None
 _CHUNK = len(_SEPARATORS) * 128
 _ONE_UNIT_BLOCKS = b"\x01" * _CHUNK
 _ONE_UNIT_CHUNK = b"".join(_CHARS[1] + sep for sep in _SEPARATORS) * 128
-# That chunk where the cycle starts afresh: right after its last separator.
-_AFTER_CYCLE = _SEPARATORS[-1] + _ONE_UNIT_CHUNK
 # _block_lengths reads the rows this many bytes at a time: 4,096 1tt units
 # or 1,024 4tt units; _ordinals_ascend reads an occupant stream's ordinals
 # this many bytes at a time.
@@ -446,42 +444,17 @@ def _ordinals_ascend(ordinals):
     return True
 
 
-def _without_one_unit_chunks(occupant):
-    """(the stream left, chunks taken): the stream without each copy of
-    _ONE_UNIT_CHUNK where the cycle starts afresh (at the stream's start
-    or right after separator 31) and that does not end the stream.
-
-    Such a copy is valid wherever it stands: it starts a block and holds
-    whole cycles of separators, so the separators after it keep their
-    place in the cycle, and the byte after it follows a separator, as it
-    does in what is left (or starts it).  At the end a copy would close
-    a one-unit final block with a separator.  So the stream is valid
-    exactly when what is left is.  The first copy of a run is found with
-    one search, and each next copy of the run with one compare where the
-    last one ends.
-    """
-    size, end = len(_ONE_UNIT_CHUNK), len(occupant) - 1  # no copy taken ends the stream
-    if occupant.startswith(_ONE_UNIT_CHUNK, 0, end):
-        at = 0
-    else:
-        at = occupant.find(_AFTER_CYCLE, 0, end) + 1 or -1
-    kept, done = [], 0
-    while at >= 0:
-        kept.append(occupant[done:at])
-        done = at + size
-        while occupant.startswith(_ONE_UNIT_CHUNK, done, end):
-            done += size
-        at = occupant.find(_AFTER_CYCLE, done, end) + 1 or -1
-    left = b"".join(kept + [occupant[done:]])  # the stream itself when nothing is taken
-    return left, (len(occupant) - len(left)) // size
-
-
 def _occupant_blocks(occupant, base_offset):
     """(block count, units, last block's units) of an occupant stream that
     is exactly _render's output for the blocks its separators delimit.
 
-    The chunks that _without_one_unit_chunks sets aside first count as
+    First the stream's leading copies of _ONE_UNIT_CHUNK are set aside,
     _CHUNK one-unit blocks each, and the checks below run on what is left.
+    A leading copy holds whole separator cycles and ends with separator
+    31, so what follows it starts a block just as the stream's first byte
+    does, and the stream is valid exactly when what is left is.  No copy
+    that would end the stream is taken: it would close a one-unit final
+    block with a separator.
 
     Every block is a prefix of the alphabet exactly when the stream
     starts with the first char and, in its ordinal image (_ORDINALS),
@@ -503,7 +476,10 @@ def _occupant_blocks(occupant, base_offset):
     """
     if not occupant:
         return 0, 0, 0
-    left, chunks = _without_one_unit_chunks(occupant)
+    taken = 0
+    while occupant.startswith(_ONE_UNIT_CHUNK, taken, len(occupant) - 1):
+        taken += len(_ONE_UNIT_CHUNK)
+    left = occupant[taken:]
     separators = left.translate(None, _NOT_SEPARATORS)
     cycles, rest = divmod(len(separators), len(_CYCLE))
     ordinals = addressing._translate(left, _ORDINALS)
@@ -512,19 +488,27 @@ def _occupant_blocks(occupant, base_offset):
     if (ordinals[0] == 1 and (ordinals[-1 - closed] == BLOCK_UNITS) == closed
             and separators == _CYCLE * cycles + _CYCLE[:rest]
             and _ordinals_ascend(ordinals)):
-        return (block_count + chunks * _CHUNK, len(left) - len(separators) + chunks * _CHUNK,
+        # each one-unit block set aside is 2 bytes: its char and separator
+        return (block_count + taken // 2, len(left) - len(separators) + taken // 2,
                 ordinals[-1 - closed])
-    blocks = occupant.translate(_ORDINALS).split(b"\0")
+    image = occupant.translate(_ORDINALS)
+    blocks = image.split(b"\0")
     if closed:
         blocks.pop()
     sizes = list(map(len, blocks))
     if max(sizes) > 255:
         sizes = [min(size, BLOCK_UNITS) for size in sizes]
-    raise _occupant_mismatch(occupant, _render(bytes(sizes).translate(_CLAMPED)), base_offset)
+    raise _occupant_mismatch(occupant, image, _render(bytes(sizes).translate(_CLAMPED)),
+                             base_offset)
 
 
-def _occupant_mismatch(got, want, base_offset):
-    """The error for an occupant stream that differs from its rendering."""
+def _occupant_mismatch(got, image, want, base_offset):
+    """The error for an occupant stream that differs from its rendering.
+
+    ``image`` is the stream's ordinal image.  The stream and its rendering
+    agree before the first difference, so the 0s of the image before it
+    count the blocks before it.
+    """
     i = addressing.first_difference(got, want)
     if i == len(got):
         what = f"missing separator code {want[i]} after a full final block"
@@ -541,7 +525,7 @@ def _occupant_mismatch(got, want, base_offset):
             f"occupant ordinal gap: char {got[i]:#04x} where {want[i]:#04x} "
             f"(ordinal {OCCUPANT_ALPHABET.index(want[i]) + 1}) was expected"
         )
-    block = want[:i].translate(_ORDINALS).count(0)
+    block = image.count(0, 0, i)
     return GridFormatError(what, offset=base_offset + i, block=block)
 
 

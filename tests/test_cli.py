@@ -1,5 +1,7 @@
 import os
 import random
+import re
+import sys
 
 import pytest
 
@@ -128,6 +130,43 @@ def test_decompress_bad_artifact(tmp_path, tt_file, capsys, no_tt_env):
     bogus = tmp_path / "bogus.fbar"
     bogus.write_bytes(b"not an artifact at all")
     assert main(["decompress", str(bogus), "--tt", tt_file]) == EXIT_BAD_ARTIFACT
+
+
+def test_decompress_without_out_appends_out_to_other_names(tmp_path, tt_file, capsys, no_tt_env):
+    # the input's name does not end in .fbar, so nothing is cut from it
+    source, artifact = tmp_path / "named.txt", tmp_path / "named.art"
+    source.write_bytes(b"a name of its own")
+    assert main(["compress", str(source), "--out", str(artifact), "--tt", tt_file]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["decompress", str(artifact), "--tt", tt_file]) == EXIT_OK
+    assert f"{artifact} -> {artifact}.out (17 bytes," in capsys.readouterr().out
+    assert (tmp_path / "named.art.out").read_bytes() == b"a name of its own"
+
+
+def test_main_without_argv_reads_sys_argv(tmp_path, monkeypatch, capsys):
+    flat = tmp_path / "flat.bin"
+    flat.write_bytes(b"a" * 100)
+    monkeypatch.setattr(sys, "argv", ["fbar", "entropy", str(flat)])
+    assert main() == EXIT_OK
+    assert capsys.readouterr().out.startswith(f"{flat}: 100 bytes, 1 symbols,")
+
+
+def test_readme_and_docstring_give_each_exit_code_its_number():
+    # each EXIT_ name, by words that both lists use for it
+    words = {"EXIT_OK": "success", "EXIT_AUDIT_FAIL": "audit", "EXIT_USAGE": "usage",
+             "EXIT_NO_TT": "translation table", "EXIT_BAD_ARTIFACT": "malformed artifact",
+             "EXIT_MODE_MISMATCH": "mode mismatch", "EXIT_UNREADABLE": "unreadable"}
+    codes = {name: value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert codes.keys() == words.keys() and len(set(codes.values())) == len(codes)
+    with open(README, encoding="utf-8") as fh:
+        sentence = re.search(r"Exit codes: (.*?)\.\s", " ".join(fh.read().split())).group(1)
+    readme = {int(code): what for code, what in re.findall(r"`(\d+)` ([^,]+)", sentence)}
+    docstring = {int(code): what
+                 for code, what in re.findall(r"^ +(\d) +(.+)$", cli.__doc__, re.M)}
+    for listed in (readme, docstring):
+        assert listed.keys() == set(codes.values())
+        for name, value in codes.items():
+            assert words[name] in listed[value], (name, value, listed)
 
 
 def test_decompress_truncated_artifact(tmp_path, tt_file, no_tt_env):
@@ -525,9 +564,10 @@ def broken_artifacts(tt):
             assert end - OCCUPANT_AT > 2 * gridfile._SPAN
             for bad, at in (("span-1", -1), ("span", 0), ("span+1", 1)):
                 broken[f"{bad}.{mode}"] = _flip(zero, OCCUPANT_AT + gridfile._SPAN + at)
-    # separator 31 before the first chunk of one-unit blocks that the
-    # parser sets aside, that chunk's first byte, and the byte after the
-    # last such chunk
+    # separator 31 before the first chunk of one-unit blocks where the
+    # cycle starts afresh, that chunk's first byte, and the byte after the
+    # last such chunk: a run inside the stream, which the parser checks
+    # as it checks any other blocks
     chunks = codec.compress(CompressJob(INPUTS["chunks"], tt)).artifact
     occupant, chunk = occupant_stream(chunks), gridfile._ONE_UNIT_CHUNK
     first = occupant.find(b"\x1f" + chunk) + 1

@@ -196,6 +196,13 @@ def test_decompress_rejects_unknown_magic(tt):
         decompress(DecompressJob(artifact=b"JUNKJUNKJUNK", tables=tt))
 
 
+def test_unknown_magic_is_named_at_offset_0(tt):
+    with pytest.raises(gridfile.GridFormatError) as err:
+        decompress(DecompressJob(artifact=b"JUNKJUNKJUNK", tables=tt))
+    assert err.value.offset == 0 and err.value.block is None
+    assert str(err.value) == "unrecognized artifact magic b'JUNK' at byte offset 0"
+
+
 def test_corrupt_table_refused():
     broken = transtable.TranslationTable(b"\x00\x00" * transtable.TT_ROWS)
     with pytest.raises(transtable.TtError):

@@ -681,7 +681,6 @@ def test_layout_tables_equal_their_comprehensions():
     pieces = [[OCCUPANT_ALPHABET[:n] + sep for n in range(BLOCK_UNITS + 1)] for sep in separators]
     chunk = b"".join(row[1] for row in pieces) * (gridfile._CHUNK // len(pieces))
     assert gridfile._ONE_UNIT_CHUNK == chunk
-    assert gridfile._AFTER_CYCLE == separators[-1] + chunk
     gridfile._render(b"\x01")
     assert gridfile._PIECES == pieces
 
@@ -844,7 +843,8 @@ def rendering_error(occupant):
         del blocks[prefixes.index(False) + 1 :]
     lengths = [len(block) for block in blocks]
     lengths[-1] = min(lengths[-1], BLOCK_UNITS) or 1
-    err = gridfile._occupant_mismatch(occupant, gridfile._render(lengths), 0)
+    err = gridfile._occupant_mismatch(occupant, occupant.translate(gridfile._ORDINALS),
+                                      gridfile._render(lengths), 0)
     return str(err), err.offset, err.block
 
 
@@ -944,6 +944,23 @@ def test_span_check_finds_touching_separators_where_spans_meet(zeros, ascend):
 
 
 CHUNK, ONE_UNIT_CHUNK = gridfile._CHUNK, gridfile._ONE_UNIT_CHUNK
+
+
+@pytest.mark.parametrize("mode", (MODE_1TT, MODE_4TT))
+def test_leading_one_unit_chunks_are_not_translated(mode, tt, monkeypatch):
+    # 512 KiB of zeros is all one-unit blocks.  Its whole leading chunks
+    # are set aside, so the all-zero corpus's parse translates only what
+    # is left: less than one chunk.
+    artifact = codec.compress(codec.CompressJob(bytes(512 * 1024), tt, mode)).artifact
+    lengths, translate = [], addressing._translate
+
+    def recorded(data, *args, **kwargs):
+        lengths.append(len(data))
+        return translate(data, *args, **kwargs)
+
+    monkeypatch.setattr(addressing, "_translate", recorded)
+    assert parse_grid(artifact).block_count == 512 * 1024 // 2 // gridfile._MODE_BYTES[mode]
+    assert len(lengths) == 1 and lengths[0] < len(ONE_UNIT_CHUNK), lengths
 
 
 def chunk_renderings():
